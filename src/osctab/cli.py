@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from . import diffposet, homomesy, kernels, matchings, tableaux, verify
+from . import diffposet, homomesy, matchings, tableaux, verify
 from .errors import BoundExceededError, OsctabError
 from .partitions import format_partition, parse_partition, size
 from .util import max_enumeration_size
@@ -282,7 +282,7 @@ def _stats_rows(n):
             "al": s.alignments,
             "dyck": word,
             "area": matchings.area(word),
-            "wt": matchings.weight_via_matching(m),
+            "wt": matchings.weight_of_alignments(n, s.alignments),
         }
 
 
@@ -413,53 +413,69 @@ def cmd_verify(args) -> int:
     return _emit(report, args.timing)
 
 
+def _non_negative(convert):
+    """argparse type: `convert` the text and reject negative values (and NaN)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+NON_NEGATIVE_INT = _non_negative(int)
+NON_NEGATIVE_FLOAT = _non_negative(float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="osctab",
-        description="Exact walk enumeration, matching statistics, and orbit search"
-        f" (kernel backend: {kernels.BACKEND})",
+        description="Exact walk enumeration, matching statistics, and orbit search",
     )
     parser.add_argument("--timing", action="store_true", help="include elapsed times in output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="walk count: closed form vs enumeration")
     p.add_argument("--shape", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=NON_NEGATIVE_INT, required=True)
     p.add_argument("--skip-enumeration", action="store_true")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="list all walks as JSON")
     p.add_argument("--shape", required=True)
     p.add_argument("--mu", default="-", help="start partition (default empty)")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=NON_NEGATIVE_INT, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("avg-weight", help="average walk weight, exact")
     p.add_argument("--shape", required=True)
     p.add_argument("--mu", default="-")
-    p.add_argument("--n", type=int)
-    p.add_argument("--length", type=int)
+    p.add_argument("--n", type=NON_NEGATIVE_INT)
+    p.add_argument("--length", type=NON_NEGATIVE_INT)
     p.set_defaults(func=cmd_avg_weight)
 
     p = sub.add_parser("gf", help="weight generating function of walks to a shape")
     p.add_argument("--shape", required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=NON_NEGATIVE_INT, required=True)
     p.set_defaults(func=cmd_gf)
 
     p = sub.add_parser("diffposet", help="operator coefficient tables and identities")
     dsub = p.add_subparsers(dest="diffposet_command", required=True)
     q = dsub.add_parser("q-table", help="Laurent coefficient table as JSON")
-    q.add_argument("--lmax", type=int, default=8)
+    q.add_argument("--lmax", type=NON_NEGATIVE_INT, default=8)
     q.set_defaults(func=cmd_diffposet)
     b = dsub.add_parser("b-table", help="integer coefficients as CSV (i,l,b,c)")
-    b.add_argument("--lmax", type=int, default=12)
+    b.add_argument("--lmax", type=NON_NEGATIVE_INT, default=12)
     b.set_defaults(func=cmd_diffposet)
     c = dsub.add_parser("c-table", help="weighted coefficients as CSV (i,l,b,c)")
-    c.add_argument("--lmax", type=int, default=12)
+    c.add_argument("--lmax", type=NON_NEGATIVE_INT, default=12)
     c.set_defaults(func=cmd_diffposet)
     v = dsub.add_parser("verify-eq1", help="coefficient-ratio identity check")
-    v.add_argument("--kmax", type=int, default=6)
-    v.add_argument("--nmax", type=int, default=5)
+    v.add_argument("--kmax", type=NON_NEGATIVE_INT, default=6)
+    v.add_argument("--nmax", type=NON_NEGATIVE_INT, default=5)
     v.set_defaults(func=cmd_diffposet)
 
     p = sub.add_parser("rs", help="matching <-> walk bijection")
@@ -471,20 +487,22 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--tableau", required=True, help='e.g. "-|1|2|1|-"')
     i.set_defaults(func=cmd_rs)
     r = rsub.add_parser("roundtrip", help="bijection battery up to n")
-    r.add_argument("--n", type=int, default=5)
+    r.add_argument("--n", type=NON_NEGATIVE_INT, default=5)
     r.set_defaults(func=cmd_rs)
 
     p = sub.add_parser("stats", help="per-matching statistics table")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=NON_NEGATIVE_INT, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("homomesy", help="search for constant-sum triple partitions")
     p.add_argument("--target-set", choices=("matchings", "tableaux"), required=True)
     p.add_argument("--shape", default="-")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int, default=homomesy.DEFAULT_NODE_BUDGET)
-    p.add_argument("--budget-seconds", type=float, default=homomesy.DEFAULT_TIME_BUDGET)
+    p.add_argument("--n", type=NON_NEGATIVE_INT, required=True)
+    p.add_argument("--budget-nodes", type=NON_NEGATIVE_INT, default=homomesy.DEFAULT_NODE_BUDGET)
+    p.add_argument(
+        "--budget-seconds", type=NON_NEGATIVE_FLOAT, default=homomesy.DEFAULT_TIME_BUDGET
+    )
     p.add_argument("--conjugation-closed", action="store_true",
                    help="restrict to triples closed under conjugation")
     p.add_argument("--parallel", action="store_true",
@@ -493,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_homomesy)
 
     p = sub.add_parser("skew-scan", help="denominators of skew average weights")
-    p.add_argument("--max-mu", type=int, default=3)
-    p.add_argument("--max-shape", type=int, default=4)
-    p.add_argument("--max-length", type=int, default=8)
+    p.add_argument("--max-mu", type=NON_NEGATIVE_INT, default=3)
+    p.add_argument("--max-shape", type=NON_NEGATIVE_INT, default=4)
+    p.add_argument("--max-length", type=NON_NEGATIVE_INT, default=8)
     p.add_argument("--records", action="store_true", help="include every scanned case")
     p.set_defaults(func=cmd_skew_scan)
 
@@ -505,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("count", "weight", "diffposet", "rs", "stats", "homomesy", "skew", "all"),
         default="all",
     )
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--kmax", type=NON_NEGATIVE_INT, default=None)
+    p.add_argument("--nmax", type=NON_NEGATIVE_INT, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -13,12 +13,13 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Union
 
+from . import kernels
 from .errors import BoundExceededError
 from .laurent import LaurentPolynomial
 from .partitions import (
     EMPTY,
     Partition,
-    cover_distance,
+    cover_distance,  # unused here, but perfbench/tracing.py wraps this binding
     covers_down,
     covers_up,
     partitions_up_to,
@@ -105,25 +106,12 @@ def power_ud_coefficient(
 ) -> int:
     """Coefficient of the partition in (U + D)^length applied to the empty one.
 
-    Computed by `length` successive applications of U + D, dropping terms
-    that can no longer reach the target in the remaining steps.
+    That coefficient counts the length-`length` walks from the empty
+    partition to this one, which the walk-profile kernel totals.
     """
     if length > max_length:
         raise BoundExceededError(f"length {length} exceeds the configured bound {max_length}")
-    state: FormalSum = {EMPTY: 1}
-    for step in range(length):
-        remaining = length - step - 1
-        merged: FormalSum = {}
-        for p, c in apply_U(state).items():
-            _accumulate(merged, p, c)
-        for p, c in apply_D(state).items():
-            _accumulate(merged, p, c)
-        state = {
-            p: c
-            for p, c in merged.items()
-            if cover_distance(p, partition) <= remaining
-        }
-    return state.get(partition, 0)
+    return sum(kernels.ot_weight_profile(EMPTY, partition, length))
 
 
 class CoeffTable:

@@ -268,10 +268,14 @@ def matching_to_tableau(matching: PerfectMatching) -> OscillatingTableau:
     return tuple(reversed(shapes))
 
 
+def weight_of_alignments(n: int, alignments: int) -> int:
+    """Walk weight of the image of an n-pair matching: n + 2 * (C(n, 2) - alignments)."""
+    return n + 2 * (n * (n - 1) // 2 - alignments)
+
+
 def weight_via_matching(matching: PerfectMatching) -> int:
-    """Walk weight of the matching's image: n + 2 * (C(n, 2) - alignments)."""
-    n = len(matching)
-    return n + 2 * (n * (n - 1) // 2 - stats(matching).alignments)
+    """Walk weight of the matching's image under the insertion bijection."""
+    return weight_of_alignments(len(matching), stats(matching).alignments)
 
 
 def conjugate_tableau(tableau: OscillatingTableau) -> OscillatingTableau:

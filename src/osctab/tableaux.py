@@ -112,8 +112,8 @@ def enumerate_ot(
 def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]:
     """Histogram h with h[w] = number of walks of weight w (kernel-backed).
 
-    Aggregates the same depth-first walk as enumerate_ot without
-    materializing the walks.
+    Counts the walks enumerate_ot yields without producing any: the
+    kernel advances a per-partition weight histogram one step at a time.
     """
     return kernels.ot_weight_profile(tuple(start), tuple(shape), length)
 

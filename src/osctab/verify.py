@@ -95,11 +95,12 @@ def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
     )
     rows.append(CheckRow("DU - UD = I on |p| <= 10", commutator_ok, str(commutator_ok), "True"))
     for i in range(7):
+        straight_ok = diffposet.ud_straighten_check(i, 6)
         rows.append(
             CheckRow(
                 f"D U^{i} = U^{i} D + {i} U^{i-1} on |p| <= 6",
-                diffposet.ud_straighten_check(i, 6),
-                str(diffposet.ud_straighten_check(i, 6)),
+                straight_ok,
+                str(straight_ok),
                 "True",
             )
         )
@@ -287,8 +288,9 @@ def suite_homomesy(search_ns: tuple[int, ...] = (2, 3, 4)) -> list[CheckRow]:
         rows.append(
             _row(f"orbit target matchings n={n}", orbit_sum_target_matchings(n), comb(n, 2))
         )
+    results = {}
     for n in search_ns:
-        result = search_matchings(n)
+        result = results[n] = search_matchings(n)
         terminated = result.status in ("certificate", "infeasible")
         verified = (
             homomesy_verify(result.partition, matching_items(n))
@@ -303,7 +305,7 @@ def suite_homomesy(search_ns: tuple[int, ...] = (2, 3, 4)) -> list[CheckRow]:
                 "certificate|infeasible",
             )
         )
-    n2 = search_matchings(2)
+    n2 = results[2] if 2 in results else search_matchings(2)
     unique_ok = (
         n2.status == "certificate"
         and len(n2.partition.triples) == 1
@@ -366,12 +368,7 @@ def run_suite(name: str, kmax: int | None = None, nmax: int | None = None) -> li
         return rows
     suite = SUITES[name]
     kwargs = {}
-    if name in ("count", "weight"):
-        if kmax is not None:
-            kwargs["kmax"] = kmax
-        if nmax is not None:
-            kwargs["nmax"] = nmax
-    elif name == "diffposet":
+    if name in ("count", "weight", "diffposet"):
         if kmax is not None:
             kwargs["kmax"] = kmax
         if nmax is not None:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from osctab.cli import main
 
 
@@ -29,6 +31,36 @@ def test_count_parse_error(capsys):
     code, _, err = run_cli(capsys, "count", "--shape", "1,2", "--n", "1")
     assert code == 2
     assert "weakly decreasing" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--shape", "-", "--n", "-1"),
+        ("enumerate", "--shape", "-", "--length", "-1"),
+        ("avg-weight", "--shape", "-", "--n", "-1"),
+        ("avg-weight", "--shape", "-", "--length", "-2"),
+        ("gf", "--shape", "-", "--length", "-1"),
+        ("diffposet", "q-table", "--lmax", "-1"),
+        ("diffposet", "b-table", "--lmax", "-1"),
+        ("diffposet", "verify-eq1", "--kmax", "-1"),
+        ("rs", "roundtrip", "--n", "-1"),
+        ("stats", "--n", "-1"),
+        ("homomesy", "--target-set", "matchings", "--n", "-3"),
+        ("homomesy", "--target-set", "matchings", "--n", "3", "--budget-nodes", "-1"),
+        ("homomesy", "--target-set", "matchings", "--n", "3", "--budget-seconds", "-0.5"),
+        ("homomesy", "--target-set", "matchings", "--n", "3", "--budget-seconds", "nan"),
+        ("skew-scan", "--max-mu", "-1"),
+        ("skew-scan", "--max-length", "-1"),
+        ("verify", "--suite", "count", "--nmax", "-1"),
+        ("stats", "--n", "x"),
+    ],
+)
+def test_negative_sizes_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_enumerate_walks(capsys):
