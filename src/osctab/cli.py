@@ -75,6 +75,8 @@ def _emit(report: RunReport, timing: bool) -> int:
 
 
 def _check_rows_payload(rows) -> tuple[str, list[dict[str, str]]]:
+    if not rows:
+        raise OsctabError("no checks in range; a battery with no checks cannot pass")
     outcome = "pass" if all(row.passed for row in rows) else "fail"
     payload = [
         {"check": row.name, "passed": row.passed, "lhs": row.lhs, "rhs": row.rhs}
@@ -175,100 +177,107 @@ def cmd_gf(args) -> int:
     return _emit(report, args.timing)
 
 
-def cmd_diffposet(args) -> int:
+def cmd_q_table(args) -> int:
     started = time.monotonic()
-    if args.diffposet_command == "q-table":
-        table = diffposet.q_table(args.lmax)
-        entries = []
-        for l in range(args.lmax + 1):
-            for i in range(l + 1):
-                for j in range(l + 1 - i):
-                    poly = table.q(i, j, l)
-                    if not poly.is_zero():
-                        entries.append({"i": i, "j": j, "l": l, "poly": poly.to_json_dict()})
-        report = RunReport(
-            "diffposet q-table", {"lmax": args.lmax}, "pass", {"entries": entries},
-            time.monotonic() - started,
-        )
-        return _emit(report, args.timing)
-    if args.diffposet_command in ("b-table", "c-table"):
-        table = diffposet.q_table(args.lmax)
-        lines = ["i,l,b,c"]
-        for l in range(args.lmax + 1):
-            for i in range(l + 1):
-                if (l - i) % 2:
-                    continue
-                lines.append(
-                    f"{i},{l},{diffposet.b_value(i, l)},{diffposet.c_value(i, l, 'derivative', table)}"
-                )
-        print("\n".join(lines))
-        return EXIT_PASS
-    if args.diffposet_command == "verify-eq1":
-        rows = []
-        for k in range(args.kmax + 1):
-            for n in range(args.nmax + 1):
-                if k + 2 * n > diffposet.DEFAULT_POWER_BOUND:
-                    continue
-                rep = diffposet.verify_key_identity(k, n)
-                rows.append(
-                    {
-                        "k": k,
-                        "n": n,
-                        "ratio": _frac(rep.ratio),
-                        "closed_form": _frac(rep.closed_form),
-                        "passed": rep.passed,
-                    }
-                )
-        outcome = "pass" if all(r["passed"] for r in rows) else "fail"
-        report = RunReport(
-            "diffposet verify-eq1",
-            {"kmax": args.kmax, "nmax": args.nmax},
-            outcome,
-            {"checks": rows},
-            time.monotonic() - started,
-        )
-        return _emit(report, args.timing)
-    raise OsctabError(f"unknown diffposet subcommand {args.diffposet_command!r}")
+    table = diffposet.q_table(args.lmax)
+    entries = []
+    for l in range(args.lmax + 1):
+        for i in range(l + 1):
+            for j in range(l + 1 - i):
+                poly = table.q(i, j, l)
+                if not poly.is_zero():
+                    entries.append({"i": i, "j": j, "l": l, "poly": poly.to_json_dict()})
+    report = RunReport(
+        "diffposet q-table", {"lmax": args.lmax}, "pass", {"entries": entries},
+        time.monotonic() - started,
+    )
+    return _emit(report, args.timing)
 
 
-def cmd_rs(args) -> int:
+def cmd_b_table(args) -> int:
+    table = diffposet.q_table(args.lmax)
+    lines = ["i,l,b,c"]
+    for l in range(args.lmax + 1):
+        for i in range(l + 1):
+            if (l - i) % 2:
+                continue
+            lines.append(
+                f"{i},{l},{diffposet.b_value(i, l)},{diffposet.c_value(i, l, 'derivative', table)}"
+            )
+    print("\n".join(lines))
+    return EXIT_PASS
+
+
+def cmd_verify_eq1(args) -> int:
     started = time.monotonic()
-    if args.rs_command == "forward":
-        matching = matchings.parse_matching(args.matching)
-        tableau = matchings.matching_to_tableau(matching)
-        report = RunReport(
-            "rs forward",
-            {"matching": matchings.format_matching(matching)},
-            "pass",
-            {
-                "tableau": _tableau_json(tableau),
-                "tableau_text": tableaux.format_tableau(tableau),
-                "dyck": matchings.dyck_of_matching(matching),
-                "weight": str(tableaux.weight(tableau)),
-            },
-            time.monotonic() - started,
-        )
-        return _emit(report, args.timing)
-    if args.rs_command == "inverse":
-        tableau = tableaux.parse_tableau(args.tableau)
-        matching = matchings.tableau_to_matching(tableau)
-        report = RunReport(
-            "rs inverse",
-            {"tableau": tableaux.format_tableau(tableau)},
-            "pass",
-            {"matching": matchings.format_matching(matching)},
-            time.monotonic() - started,
-        )
-        return _emit(report, args.timing)
-    if args.rs_command == "roundtrip":
-        rows = verify.suite_rs(args.n)
-        outcome, payload = _check_rows_payload(rows)
-        report = RunReport(
-            "rs roundtrip", {"n": args.n}, outcome, {"checks": payload},
-            time.monotonic() - started,
-        )
-        return _emit(report, args.timing)
-    raise OsctabError(f"unknown rs subcommand {args.rs_command!r}")
+    rows = []
+    for k in range(args.kmax + 1):
+        for n in range(args.nmax + 1):
+            if k + 2 * n > diffposet.DEFAULT_POWER_BOUND:
+                continue
+            rep = diffposet.verify_key_identity(k, n)
+            rows.append(
+                {
+                    "k": k,
+                    "n": n,
+                    "ratio": _frac(rep.ratio),
+                    "closed_form": _frac(rep.closed_form),
+                    "passed": rep.passed,
+                }
+            )
+    outcome = "pass" if all(r["passed"] for r in rows) else "fail"
+    report = RunReport(
+        "diffposet verify-eq1",
+        {"kmax": args.kmax, "nmax": args.nmax},
+        outcome,
+        {"checks": rows},
+        time.monotonic() - started,
+    )
+    return _emit(report, args.timing)
+
+
+def cmd_rs_forward(args) -> int:
+    started = time.monotonic()
+    matching = matchings.parse_matching(args.matching)
+    tableau = matchings.matching_to_tableau(matching)
+    report = RunReport(
+        "rs forward",
+        {"matching": matchings.format_matching(matching)},
+        "pass",
+        {
+            "tableau": _tableau_json(tableau),
+            "tableau_text": tableaux.format_tableau(tableau),
+            "dyck": matchings.dyck_of_matching(matching),
+            "weight": str(tableaux.weight(tableau)),
+        },
+        time.monotonic() - started,
+    )
+    return _emit(report, args.timing)
+
+
+def cmd_rs_inverse(args) -> int:
+    started = time.monotonic()
+    tableau = tableaux.parse_tableau(args.tableau)
+    matching = matchings.tableau_to_matching(tableau)
+    report = RunReport(
+        "rs inverse",
+        {"tableau": tableaux.format_tableau(tableau)},
+        "pass",
+        {"matching": matchings.format_matching(matching)},
+        time.monotonic() - started,
+    )
+    return _emit(report, args.timing)
+
+
+def cmd_rs_roundtrip(args) -> int:
+    started = time.monotonic()
+    rows = verify.suite_rs(args.n)
+    outcome, payload = _check_rows_payload(rows)
+    report = RunReport(
+        "rs roundtrip", {"n": args.n}, outcome, {"checks": payload},
+        time.monotonic() - started,
+    )
+    return _emit(report, args.timing)
 
 
 def _stats_rows(n):
@@ -310,14 +319,12 @@ def cmd_stats(args) -> int:
 
 def cmd_homomesy(args) -> int:
     started = time.monotonic()
-    parallel = args.parallel and not args.deterministic
     if args.target_set == "matchings":
         result = homomesy.search_matchings(
             args.n,
             node_budget=args.budget_nodes,
             time_budget=args.budget_seconds,
             conjugation_closed=args.conjugation_closed,
-            parallel=parallel,
         )
     else:
         shape = parse_partition(args.shape)
@@ -327,13 +334,12 @@ def cmd_homomesy(args) -> int:
             node_budget=args.budget_nodes,
             time_budget=args.budget_seconds,
             conjugation_closed=args.conjugation_closed,
-            parallel=parallel,
         )
     details: dict[str, Any] = {
         "statistic": "alignments" if args.target_set == "matchings" else "weight",
         "target": str(result.target),
         "item_count": result.item_count,
-        "search": {"nodes": str(result.nodes), "mode": result.mode},
+        "search": {"nodes": str(result.nodes), "mode": "sequential"},
         "status": result.status,
     }
     if args.timing:
@@ -466,29 +472,28 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="diffposet_command", required=True)
     q = dsub.add_parser("q-table", help="Laurent coefficient table as JSON")
     q.add_argument("--lmax", type=NON_NEGATIVE_INT, default=8)
-    q.set_defaults(func=cmd_diffposet)
-    b = dsub.add_parser("b-table", help="integer coefficients as CSV (i,l,b,c)")
+    q.set_defaults(func=cmd_q_table)
+    b = dsub.add_parser(
+        "b-table", aliases=["c-table"], help="integer and weighted coefficients as CSV (i,l,b,c)"
+    )
     b.add_argument("--lmax", type=NON_NEGATIVE_INT, default=12)
-    b.set_defaults(func=cmd_diffposet)
-    c = dsub.add_parser("c-table", help="weighted coefficients as CSV (i,l,b,c)")
-    c.add_argument("--lmax", type=NON_NEGATIVE_INT, default=12)
-    c.set_defaults(func=cmd_diffposet)
+    b.set_defaults(func=cmd_b_table)
     v = dsub.add_parser("verify-eq1", help="coefficient-ratio identity check")
     v.add_argument("--kmax", type=NON_NEGATIVE_INT, default=6)
     v.add_argument("--nmax", type=NON_NEGATIVE_INT, default=5)
-    v.set_defaults(func=cmd_diffposet)
+    v.set_defaults(func=cmd_verify_eq1)
 
     p = sub.add_parser("rs", help="matching <-> walk bijection")
     rsub = p.add_subparsers(dest="rs_command", required=True)
     f = rsub.add_parser("forward", help="matching to walk")
     f.add_argument("--matching", required=True, help='e.g. "1-4,2-3"')
-    f.set_defaults(func=cmd_rs)
+    f.set_defaults(func=cmd_rs_forward)
     i = rsub.add_parser("inverse", help="walk to matching")
     i.add_argument("--tableau", required=True, help='e.g. "-|1|2|1|-"')
-    i.set_defaults(func=cmd_rs)
+    i.set_defaults(func=cmd_rs_inverse)
     r = rsub.add_parser("roundtrip", help="bijection battery up to n")
     r.add_argument("--n", type=NON_NEGATIVE_INT, default=5)
-    r.set_defaults(func=cmd_rs)
+    r.set_defaults(func=cmd_rs_roundtrip)
 
     p = sub.add_parser("stats", help="per-matching statistics table")
     p.add_argument("--n", type=NON_NEGATIVE_INT, required=True)
@@ -501,13 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=NON_NEGATIVE_INT, required=True)
     p.add_argument("--budget-nodes", type=NON_NEGATIVE_INT, default=homomesy.DEFAULT_NODE_BUDGET)
     p.add_argument(
-        "--budget-seconds", type=NON_NEGATIVE_FLOAT, default=homomesy.DEFAULT_TIME_BUDGET
+        "--budget-seconds", type=NON_NEGATIVE_FLOAT, default=homomesy.DEFAULT_TIME_BUDGET,
+        help="clock limit in seconds (default %(default)s); "
+        "--budget-seconds 0 turns off the clock limit",
     )
     p.add_argument("--conjugation-closed", action="store_true",
                    help="restrict to triples closed under conjugation")
-    p.add_argument("--parallel", action="store_true",
-                   help="race top-level branches across processes (not deterministic)")
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_homomesy)
 
     p = sub.add_parser("skew-scan", help="denominators of skew average weights")
@@ -517,14 +521,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", action="store_true", help="include every scanned case")
     p.set_defaults(func=cmd_skew_scan)
 
-    p = sub.add_parser("verify", help="run a verification battery")
+    p = sub.add_parser(
+        "verify",
+        help="run a verification battery",
+        epilog="A named suite exits 2 on an override it does not take; with --suite all "
+        "each override goes only to the suites that take it.",
+    )
     p.add_argument(
         "--suite",
-        choices=("count", "weight", "diffposet", "rs", "stats", "homomesy", "skew", "all"),
+        choices=(*verify.SUITES, "all"),
         default="all",
     )
-    p.add_argument("--kmax", type=NON_NEGATIVE_INT, default=None)
-    p.add_argument("--nmax", type=NON_NEGATIVE_INT, default=None)
+    for key, meaning in (("kmax", "largest shape size"), ("nmax", "largest n")):
+        takers = [name for name, keys in verify.SUITE_OVERRIDES.items() if key in keys]
+        p.add_argument(f"--{key}", type=NON_NEGATIVE_INT, default=None,
+                       help=f"{meaning}; taken by suites {', '.join(takers)}")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -3,16 +3,16 @@
 A free action of a 3-element cyclic group whose orbits average a fixed
 statistic value must split the set into triples of equal statistic sum,
 so such a partition is a certificate that the necessary orbit structure
-exists.  The search is an exhaustive first-solution backtracking over
-item indices; it reports a certificate, a proof of infeasibility (the
-space was exhausted), or budget exhaustion, and never claims more.
+exists.  Every search is one deterministic first-solution backtracking
+over item indices (kernels.triple_search), bounded by a node budget and
+an optional clock budget; it reports a certificate, a proof of
+infeasibility (the space was exhausted), or budget exhaustion, and
+never claims more.
 """
 
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import kernels
 from .errors import CoverageError, NotDivisibleByThreeError
@@ -56,7 +56,6 @@ class SearchResult:
     partition: Optional[TriplePartition]
     nodes: int
     elapsed: float
-    mode: str = "sequential"
     target: int = 0
     item_count: int = 0
 
@@ -104,18 +103,17 @@ def triple_partition_search(
     time_budget: float = DEFAULT_TIME_BUDGET,
     mate: Optional[dict[str, str]] = None,
     statistic: str = "value",
-    parallel: bool = False,
 ) -> SearchResult:
     """Partition the items into triples of value sum `target`, if possible.
 
-    Sequential mode is deterministic: identical input yields the
-    identical certificate.  Parallel mode races the top-level branches
-    across worker processes and returns the first certificate found.
+    The search is deterministic: identical input yields the identical
+    certificate and node count.  It stops after `node_budget` attempted
+    triples, or after `time_budget` seconds when that is positive; a
+    budget-exhausted result reports the nodes it attempted, at most
+    `node_budget`.
     """
     _check_items(items)
     start_time = time.monotonic()
-    if parallel and len(items) >= 6:
-        return _parallel_search(items, target, node_budget, time_budget, mate, statistic)
     values = [value for _, value in items]
     status, triples, nodes = kernels.triple_search(
         values, target, node_budget, time_budget, _mate_indices(items, mate)
@@ -129,88 +127,7 @@ def triple_partition_search(
             statistic,
         )
     return SearchResult(
-        _STATUS_NAMES[status], partition, nodes, elapsed, "sequential", target, len(items)
-    )
-
-
-def _parallel_worker(
-    args: tuple[list[int], int, int, float, Optional[list[int]], tuple[int, int, int]]
-):
-    values, target, node_budget, time_budget, mate, first = args
-    i, j, k = first
-    keep = [idx for idx in range(len(values)) if idx not in (i, j, k)]
-    sub_values = [values[idx] for idx in keep]
-    sub_mate = None
-    if mate is not None:
-        back = {idx: pos for pos, idx in enumerate(keep)}
-        sub_mate = [back[mate[idx]] for idx in keep]
-    status, triples, nodes = kernels.triple_search(
-        sub_values, target, node_budget, time_budget, sub_mate
-    )
-    remapped = [(keep[a], keep[b], keep[c]) for a, b, c in triples]
-    return status, [first] + remapped, nodes
-
-
-def _parallel_search(
-    items: Sequence[WeightedItem],
-    target: int,
-    node_budget: int,
-    time_budget: float,
-    mate: Optional[dict[str, str]],
-    statistic: str,
-) -> SearchResult:
-    """Race the candidate triples containing the first item across processes."""
-    start_time = time.monotonic()
-    values = [value for _, value in items]
-    mate_idx = _mate_indices(items, mate)
-    total = sum(values)
-    if total != (len(items) // 3) * target:
-        return SearchResult("infeasible", None, 0, 0.0, "parallel", target, len(items))
-
-    firsts = []
-    for j in range(1, len(values)):
-        for k in range(j + 1, len(values)):
-            if values[0] + values[j] + values[k] != target:
-                continue
-            if mate_idx is not None:
-                triple = {0, j, k}
-                if {mate_idx[0], mate_idx[j], mate_idx[k]} != triple:
-                    continue
-            firsts.append((0, j, k))
-    if not firsts:
-        return SearchResult(
-            "infeasible", None, len(values), time.monotonic() - start_time,
-            "parallel", target, len(items),
-        )
-
-    workers = min(len(firsts), os.cpu_count() or 2)
-    nodes_total = len(firsts)
-    exhausted = False
-    tasks = [
-        (values, target, node_budget, time_budget, mate_idx, first)
-        for first in firsts
-    ]
-    # Pool.__exit__ terminates still-running workers, so the first
-    # certificate returns immediately instead of draining their budgets
-    with multiprocessing.get_context().Pool(workers) as pool:
-        for status, triples, nodes in pool.imap_unordered(_parallel_worker, tasks):
-            nodes_total += nodes
-            if status == kernels.STATUS_FOUND:
-                partition = TriplePartition(
-                    [(items[a][0], items[b][0], items[c][0]) for a, b, c in triples],
-                    target,
-                    statistic,
-                )
-                return SearchResult(
-                    "certificate", partition, nodes_total,
-                    time.monotonic() - start_time, "parallel", target, len(items),
-                )
-            if status == kernels.STATUS_BUDGET:
-                exhausted = True
-    status_name = "budget-exhausted" if exhausted else "infeasible"
-    return SearchResult(
-        status_name, None, nodes_total, time.monotonic() - start_time,
-        "parallel", target, len(items),
+        _STATUS_NAMES[status], partition, nodes, elapsed, target, len(items)
     )
 
 
@@ -270,38 +187,48 @@ def matching_items(n: int) -> list[WeightedItem]:
     ]
 
 
+def _search_set(
+    items: list[WeightedItem],
+    noun: str,
+    statistic: str,
+    target: Callable[[], int],
+    conjugate: Callable[[str], str],
+    node_budget: int,
+    time_budget: float,
+    conjugation_closed: bool,
+) -> SearchResult:
+    """Check the item count, then search with the optional conjugation mates."""
+    if len(items) % 3:
+        raise NotDivisibleByThreeError(
+            f"{len(items)} {noun} cannot form triples; routine needs n >= 2"
+        )
+    mate = None
+    if conjugation_closed:
+        mate = {identifier: conjugate(identifier) for identifier, _ in items}
+    return triple_partition_search(items, target(), node_budget, time_budget, mate, statistic)
+
+
 def search_tableaux(
     shape: Partition,
     n: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
     conjugation_closed: bool = False,
-    parallel: bool = False,
 ) -> SearchResult:
     """Triple-partition search over the walks to `shape` with the weight statistic.
 
     With conjugation_closed=True only triples closed under stepwise
     conjugation of the walks are allowed (an exploratory restriction).
     """
-    items = tableau_items(shape, n)
-    if len(items) % 3:
-        raise NotDivisibleByThreeError(
-            f"{len(items)} walks cannot form triples; routine needs n >= 2"
-        )
-    mate = None
-    if conjugation_closed:
-        mate = {
-            identifier: format_tableau(conjugate_tableau(parse_tableau(identifier)))
-            for identifier, _ in items
-        }
-    return triple_partition_search(
-        items,
-        orbit_sum_target_tableaux(size(shape), n),
+    return _search_set(
+        tableau_items(shape, n),
+        "walks",
+        "weight",
+        lambda: orbit_sum_target_tableaux(size(shape), n),
+        lambda text: format_tableau(conjugate_tableau(parse_tableau(text))),
         node_budget,
         time_budget,
-        mate,
-        statistic="weight",
-        parallel=parallel,
+        conjugation_closed,
     )
 
 
@@ -310,26 +237,15 @@ def search_matchings(
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
     conjugation_closed: bool = False,
-    parallel: bool = False,
 ) -> SearchResult:
     """Triple-partition search over the matchings of [2n] with the alignment statistic."""
-    items = matching_items(n)
-    if len(items) % 3:
-        raise NotDivisibleByThreeError(
-            f"{len(items)} matchings cannot form triples; routine needs n >= 2"
-        )
-    mate = None
-    if conjugation_closed:
-        mate = {
-            identifier: format_matching(conjugate_matching(parse_matching(identifier)))
-            for identifier, _ in items
-        }
-    return triple_partition_search(
-        items,
-        orbit_sum_target_matchings(n),
+    return _search_set(
+        matching_items(n),
+        "matchings",
+        "alignments",
+        lambda: orbit_sum_target_matchings(n),
+        lambda text: format_matching(conjugate_matching(parse_matching(text))),
         node_budget,
         time_budget,
-        mate,
-        statistic="alignments",
-        parallel=parallel,
+        conjugation_closed,
     )

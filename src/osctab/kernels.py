@@ -183,12 +183,13 @@ def triple_search(
                     continue
                 if mate is not None and not closed(i, j, k):
                     continue
-                nodes += 1
-                if nodes > node_budget:
+                # nodes counts triples attempted, so it never passes the budget
+                if nodes >= node_budget:
                     raise _Budget
                 if deadline is not None and not (nodes & _TIME_CHECK_MASK):
                     if time.monotonic() > deadline:
                         raise _Budget
+                nodes += 1
                 assigned[k] = True
                 free_count[values[k]] -= 1
                 chosen.append((i, j, k))

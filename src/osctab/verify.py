@@ -11,6 +11,7 @@ from itertools import permutations
 from math import comb
 
 from . import diffposet, matchings, tableaux
+from .errors import OsctabError
 from .homomesy import (
     divisibility_check,
     homomesy_verify,
@@ -359,21 +360,36 @@ SUITES = {
 }
 
 
+# The range overrides each suite takes.  Kept apart from SUITES because
+# callers may replace those functions with wrappers of another signature.
+SUITE_OVERRIDES = {
+    "count": ("kmax", "nmax"),
+    "weight": ("kmax", "nmax"),
+    "diffposet": ("kmax", "nmax"),
+    "rs": ("nmax",),
+    "stats": ("nmax",),
+    "homomesy": (),
+    "skew": (),
+}
+
+
 def run_suite(name: str, kmax: int | None = None, nmax: int | None = None) -> list[CheckRow]:
-    """Run one suite (or all) with optional range overrides."""
-    if name == "all":
-        rows = []
-        for suite_name in SUITES:
-            rows.extend(run_suite(suite_name, kmax, nmax))
-        return rows
-    suite = SUITES[name]
-    kwargs = {}
-    if name in ("count", "weight", "diffposet"):
-        if kmax is not None:
-            kwargs["kmax"] = kmax
-        if nmax is not None:
-            kwargs["nmax"] = nmax
-    elif name in ("rs", "stats"):
-        if nmax is not None:
-            kwargs["nmax"] = nmax
-    return suite(**kwargs)
+    """Run one suite (or all) with optional range overrides.
+
+    A named suite refuses an override it does not take; "all" passes
+    each override only to the suites that take it.
+    """
+    given = {key: value for key, value in (("kmax", kmax), ("nmax", nmax)) if value is not None}
+    if name != "all":
+        accepted = SUITE_OVERRIDES[name]
+        refused = [key for key in given if key not in accepted]
+        if refused:
+            raise OsctabError(
+                f"suite {name!r} takes no --{refused[0]} override "
+                f"(it takes {' '.join('--' + key for key in accepted) or 'none'})"
+            )
+    rows = []
+    for suite_name in SUITES if name == "all" else (name,):
+        accepted = SUITE_OVERRIDES[suite_name]
+        rows.extend(SUITES[suite_name](**{k: v for k, v in given.items() if k in accepted}))
+    return rows

@@ -54,6 +54,8 @@ def test_count_parse_error(capsys):
         ("skew-scan", "--max-length", "-1"),
         ("verify", "--suite", "count", "--nmax", "-1"),
         ("stats", "--n", "x"),
+        ("homomesy", "--target-set", "matchings", "--n", "3", "--parallel"),
+        ("homomesy", "--target-set", "matchings", "--n", "3", "--no-deterministic"),
     ],
 )
 def test_negative_sizes_rejected(capsys, argv):
@@ -211,7 +213,9 @@ def test_homomesy_budget_exhausted_exit(capsys):
         "homomesy", "--target-set", "matchings", "--n", "4", "--budget-nodes", "2",
     )
     assert code == 3
-    assert json.loads(out)["outcome"] == "budget-exhausted"
+    payload = json.loads(out)
+    assert payload["outcome"] == "budget-exhausted"
+    assert payload["details"]["search"]["nodes"] == "2"
 
 
 def test_skew_scan(capsys):
@@ -231,6 +235,34 @@ def test_verify_small_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "rs", "--nmax", "3")
     assert code == 0
     assert json.loads(out)["outcome"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("--suite", "skew", "--nmax", "0"), "--nmax"),
+        (("--suite", "rs", "--kmax", "2", "--nmax", "2"), "--kmax"),
+    ],
+)
+def test_verify_refuses_overrides_a_suite_does_not_take(capsys, argv, refused):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"takes no {refused} override" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rs", "roundtrip", "--n", "0"),
+        ("verify", "--suite", "rs", "--nmax", "0"),
+    ],
+)
+def test_empty_battery_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "no checks" in err
 
 
 def test_verify_all_small(capsys):

@@ -113,6 +113,7 @@ def test_search_budget_exhaustion():
     result = triple_partition_search(items_of(values), 3, node_budget=2)
     assert result.status == "budget-exhausted"
     assert result.partition is None
+    assert result.nodes == 2
 
 
 def test_search_deterministic():
@@ -186,10 +187,3 @@ def test_mate_must_be_involution():
     with pytest.raises(ValueError):
         triple_partition_search(items, 1, mate={"x0": "x1", "x1": "x2", "x2": "x0"})
 
-
-def test_parallel_search_smoke():
-    items = items_of([0, 1, 3, 2, 2, 0, 1, 1, 2, 4, 0, 0])
-    result = triple_partition_search(items, 4, parallel=True)
-    assert result.mode == "parallel"
-    assert result.found
-    assert homomesy_verify(result.partition, items)

@@ -113,4 +113,4 @@ def test_triple_search_matches_brute_force(values, target, with_mate, rng):
 
 def test_triple_search_budget():
     status, triples, nodes = kernels.triple_search([0, 1, 2] * 8, 3, 5, 60.0, None)
-    assert (status, triples, nodes) == (kernels.STATUS_BUDGET, [], 6)
+    assert (status, triples, nodes) == (kernels.STATUS_BUDGET, [], 5)
