@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from . import diffposet, homomesy, matchings, tableaux, verify
+from . import diffposet, homomesy, kernels, matchings, tableaux, verify
 from .errors import BoundExceededError, OsctabError
 from .partitions import format_partition, parse_partition, size
 from .util import max_enumeration_size
@@ -210,12 +210,12 @@ def cmd_b_table(args) -> int:
 
 def cmd_verify_eq1(args) -> int:
     started = time.monotonic()
+    # one table up to the largest length in the grid; past its bound this exits 2
+    table = diffposet.q_table(args.kmax + 2 * args.nmax)
     rows = []
     for k in range(args.kmax + 1):
         for n in range(args.nmax + 1):
-            if k + 2 * n > diffposet.DEFAULT_POWER_BOUND:
-                continue
-            rep = diffposet.verify_key_identity(k, n)
+            rep = diffposet.verify_key_identity(k, n, table)
             rows.append(
                 {
                     "k": k,
@@ -339,7 +339,7 @@ def cmd_homomesy(args) -> int:
         "statistic": "alignments" if args.target_set == "matchings" else "weight",
         "target": str(result.target),
         "item_count": result.item_count,
-        "search": {"nodes": str(result.nodes), "mode": "sequential"},
+        "search": {"nodes": str(result.nodes), "engine": kernels.SEARCH_ENGINE},
         "status": result.status,
     }
     if args.timing:

@@ -3,11 +3,12 @@
 A free action of a 3-element cyclic group whose orbits average a fixed
 statistic value must split the set into triples of equal statistic sum,
 so such a partition is a certificate that the necessary orbit structure
-exists.  Every search is one deterministic first-solution backtracking
-over item indices (kernels.triple_search), bounded by a node budget and
-an optional clock budget; it reports a certificate, a proof of
-infeasibility (the space was exhausted), or budget exhaustion, and
-never claims more.
+exists.  Every search is one deterministic first-solution search over
+how many items carry each value (kernels.triple_search, the
+"value-count" engine), bounded by a node budget and an optional clock
+budget; it reports a certificate, a proof of infeasibility (the space
+was exhausted), or budget exhaustion, and never claims more.  A
+certificate is reported only after homomesy_verify accepts it.
 """
 
 import time
@@ -110,7 +111,8 @@ def triple_partition_search(
     certificate and node count.  It stops after `node_budget` attempted
     triples, or after `time_budget` seconds when that is positive; a
     budget-exhausted result reports the nodes it attempted, at most
-    `node_budget`.
+    `node_budget`.  Raises RuntimeError if homomesy_verify rejects the
+    certificate the kernel returned.
     """
     _check_items(items)
     start_time = time.monotonic()
@@ -126,6 +128,12 @@ def triple_partition_search(
             target,
             statistic,
         )
+        try:
+            verified = homomesy_verify(partition, items)
+        except CoverageError:
+            verified = False
+        if not verified:
+            raise RuntimeError("the search returned a certificate that homomesy_verify rejects")
     return SearchResult(
         _STATUS_NAMES[status], partition, nodes, elapsed, target, len(items)
     )

@@ -5,7 +5,9 @@ dynamic programmes: they advance a table of states one step at a time
 instead of visiting every walk or matching, so their cost grows with the
 number of states rather than with the number of objects counted.  The
 brute-force routes they replace (tableaux.enumerate_ot, enumerating
-matchings and classifying each) remain as test oracles.
+matchings and classifying each) remain as test oracles.  The triple
+search likewise works on how many items carry each value, not on the
+items, and the tests hold it to a brute-force partition search.
 
 Kernel contract
 ---------------
@@ -16,7 +18,11 @@ ot_weight_profile(start, shape, l) -> list c with c[w] = number of length-l
                                       (trailing zeros trimmed)
 triple_search(values, target, node_budget, time_budget, mate)
                                    -> (status, triples, nodes); status 0 found,
-                                      1 infeasible, 2 budget exhausted
+                                      1 infeasible, 2 budget exhausted; triples
+                                      are index triples (each ascending, in
+                                      ascending order) when found, else empty;
+                                      nodes counts the triples attempted, at most
+                                      node_budget; time_budget <= 0 means no clock
 """
 
 import time
@@ -25,12 +31,16 @@ from typing import Sequence
 from .partitions import cover_distance, covers_down, covers_up
 
 BACKEND = "pure"  # the benchmark records it with every result
+SEARCH_ENGINE = "value-count"  # named in every homomesy report
 
 STATUS_FOUND = 0
 STATUS_INFEASIBLE = 1
 STATUS_BUDGET = 2
 
 _TIME_CHECK_MASK = 0xFFF
+# count vectors the triple search remembers as dead, about 80 MB of them;
+# past that a dead vector may be explored again, which costs only time
+_DEAD_LIMIT = 1 << 20
 
 
 def matching_stats(partner: Sequence[int]) -> tuple[int, int, int]:
@@ -117,10 +127,6 @@ def ot_weight_profile(
     return [histogram.get(w, 0) for w in range(max(histogram) + 1)]
 
 
-class _Budget(Exception):
-    pass
-
-
 def triple_search(
     values: Sequence[int],
     target: int,
@@ -128,13 +134,19 @@ def triple_search(
     time_budget: float,
     mate: Sequence[int] | None = None,
 ) -> tuple[int, list[tuple[int, int, int]], int]:
-    """First-solution DFS partitioning indices into value-sum-`target` triples.
+    """First-solution search partitioning indices into value-sum-`target` triples.
 
-    The lowest unassigned index i is extended by every pair j < k of
-    unassigned indices (j ascending, k located through a value index),
-    so the search order and therefore the certificate and node count are
-    deterministic.  With `mate` (an involution on indices) only triples
-    closed under it are allowed.  A node is one attempted triple.
+    Without `mate` only how many items carry each value matters, so the
+    search runs over that count vector (_value_triples) and lifts the
+    value triples it finds back to indices, each value class handing out
+    its lowest free indices first; the certificate and the node count are
+    therefore deterministic.  With `mate` (an involution on indices) only
+    triples closed under it are allowed.  Such a triple is three fixed
+    points or one fixed point with a mate pair, so each pair {i, mate[i]}
+    first takes a fixed point of value target - values[i] - values[mate[i]]
+    (none left means infeasible), and the fixed points left over go to the
+    count search.  A node is one attempted triple.  Each triple lists its
+    indices ascending, and the triples come out sorted.
     """
     m = len(values)
     if m % 3:
@@ -142,72 +154,121 @@ def triple_search(
     if sum(values) != (m // 3) * target:
         return STATUS_INFEASIBLE, [], 0
 
-    by_value: dict[int, list[int]] = {}
-    for i, v in enumerate(values):
-        by_value.setdefault(v, []).append(i)
-    free_count = {v: len(positions) for v, positions in by_value.items()}
-
-    assigned = [False] * m
-    chosen: list[tuple[int, int, int]] = []
-    nodes = 0
-    deadline = time.monotonic() + time_budget if time_budget > 0 else None
-
-    def closed(i: int, j: int, k: int) -> bool:
-        triple = {i, j, k}
-        return {mate[i], mate[j], mate[k]} == triple
-
-    def rec(lowest: int) -> bool:
-        nonlocal nodes
-        i = lowest
-        while i < m and assigned[i]:
-            i += 1
-        if i == m:
-            return True
-        assigned[i] = True
-        free_count[values[i]] -= 1
-        vi = values[i]
-        for j in range(i + 1, m):
-            if assigned[j]:
-                continue
-            need = target - vi - values[j]
-            candidates = by_value.get(need)
-            if not candidates:
-                continue
-            # a j whose completion value has no free item would try zero nodes
-            if free_count[need] - (1 if values[j] == need else 0) <= 0:
-                continue
-            assigned[j] = True
-            free_count[values[j]] -= 1
-            for k in candidates:
-                if k <= j or assigned[k]:
-                    continue
-                if mate is not None and not closed(i, j, k):
-                    continue
-                # nodes counts triples attempted, so it never passes the budget
-                if nodes >= node_budget:
-                    raise _Budget
-                if deadline is not None and not (nodes & _TIME_CHECK_MASK):
-                    if time.monotonic() > deadline:
-                        raise _Budget
-                nodes += 1
-                assigned[k] = True
-                free_count[values[k]] -= 1
-                chosen.append((i, j, k))
-                if rec(i + 1):
-                    return True
-                chosen.pop()
-                assigned[k] = False
-                free_count[values[k]] += 1
-            assigned[j] = False
-            free_count[values[j]] += 1
-        assigned[i] = False
-        free_count[values[i]] += 1
-        return False
-
+    clock = _Clock(node_budget, time_budget)
+    pools: dict[int, list[int]] = {}  # value -> free fixed points, lowest index last
+    for i in range(m - 1, -1, -1):
+        if mate is None or mate[i] == i:
+            pools.setdefault(values[i], []).append(i)
+    triples: list[tuple[int, ...]] = []
     try:
-        found = rec(0)
+        for i, j in enumerate(mate or ()):
+            if j <= i:
+                continue
+            clock.tick()
+            pool = pools.get(target - values[i] - values[j])
+            if not pool:
+                return STATUS_INFEASIBLE, [], clock.nodes
+            triples.append(tuple(sorted((i, j, pool.pop()))))
+        found = _value_triples({v: len(p) for v, p in pools.items() if p}, target, clock)
     except _Budget:
-        return STATUS_BUDGET, [], nodes
-    if found:
-        return STATUS_FOUND, list(chosen), nodes
-    return STATUS_INFEASIBLE, [], nodes
+        return STATUS_BUDGET, [], clock.nodes
+    if found is None:
+        return STATUS_INFEASIBLE, [], clock.nodes
+    for value_triple in found:
+        triples.append(tuple(sorted(pools[v].pop() for v in value_triple)))
+    triples.sort()
+    return STATUS_FOUND, triples, clock.nodes
+
+
+class _Budget(Exception):
+    pass
+
+
+class _Clock:
+    """Counts nodes and raises _Budget instead of passing the node budget or the deadline."""
+
+    def __init__(self, node_budget: int, time_budget: float):
+        self.nodes = 0
+        self.node_budget = node_budget
+        self.deadline = time.monotonic() + time_budget if time_budget > 0 else None
+
+    def tick(self) -> None:
+        # nodes counts triples attempted, so it never passes the budget
+        if self.nodes >= self.node_budget:
+            raise _Budget
+        if self.deadline is not None and not (self.nodes & _TIME_CHECK_MASK):
+            if time.monotonic() > self.deadline:
+                raise _Budget
+        self.nodes += 1
+
+
+def _value_triples(
+    counts: dict[int, int], target: int, clock: _Clock
+) -> list[tuple[int, int, int]] | None:
+    """Value triples of sum `target` that use up `counts` exactly, or None if none do.
+
+    A depth-first search over count vectors with an explicit stack.  The
+    smallest and the largest value still present must each go into some
+    triple, so a step branches over the completions of whichever of the
+    two has fewer, and a vector where either has none is a dead end.  The
+    completions using the most plentiful values go first; on the matching
+    and walk sets that finds a certificate without backtracking.  A vector
+    all of whose branches failed joins `dead` (up to _DEAD_LIMIT of them)
+    and is not explored again.
+    """
+    vals = sorted(counts)
+    state = [counts[v] for v in vals]
+    position = {v: p for p, v in enumerate(vals)}
+    # the vector as one integer in mixed radix, kept in step with state
+    weight = [1] * len(vals)
+    for p in range(1, len(vals)):
+        weight[p] = weight[p - 1] * (state[p - 1] + 1)
+    key = sum(c * w for c, w in zip(state, weight))
+    dead: set[int] = set()
+
+    def move(step: tuple[int, int, int], sign: int) -> None:
+        nonlocal key
+        for p in step:
+            state[p] += sign
+            key += sign * weight[p]
+
+    def supplied(step: tuple[int, int, int]) -> bool:
+        return all(state[p] >= step.count(p) for p in step)
+
+    def options() -> list[tuple[int, int, int]]:
+        """Completions of the scarcer extreme, the most plentiful values first."""
+        present = [p for p, c in enumerate(state) if c]
+        lo, hi = present[0], present[-1]
+        low, high = [], []
+        for p in present:
+            q = position.get(target - vals[lo] - vals[p])  # the smallest with p and q
+            if q is not None and p <= q <= hi and supplied((lo, p, q)):
+                low.append((lo, p, q))
+            q = position.get(target - vals[hi] - vals[p])  # p and q with the largest
+            if q is not None and p <= q <= hi and supplied((p, q, hi)):
+                high.append((p, q, hi))
+        branches = low if len(low) <= len(high) else high  # empty if either is
+        branches.sort(key=lambda step: -sum(state[p] for p in step))
+        return branches
+
+    left = sum(state) // 3
+    if not left:
+        return []
+    path: list[tuple[int, int, int]] = []
+    stack = [iter(options())]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            if len(dead) < _DEAD_LIMIT:
+                dead.add(key)
+            stack.pop()
+            if path:
+                move(path.pop(), 1)
+            continue
+        clock.tick()
+        move(step, -1)
+        path.append(step)
+        if len(path) == left:
+            return [(vals[a], vals[b], vals[c]) for a, b, c in path]
+        stack.append(iter(options() if key not in dead else ()))
+    return None

@@ -164,6 +164,23 @@ def test_diffposet_verify_eq1(capsys):
     assert all(row["passed"] for row in payload["details"]["checks"])
 
 
+def test_diffposet_verify_eq1_covers_the_requested_grid(capsys):
+    code, out, _ = run_cli(capsys, "diffposet", "verify-eq1", "--kmax", "16", "--nmax", "0")
+    assert code == 0
+    checks = json.loads(out)["details"]["checks"]
+    assert [(row["k"], row["n"]) for row in checks] == [(k, 0) for k in range(17)]
+    assert all(row["passed"] for row in checks)
+    code, out, _ = run_cli(capsys, "diffposet", "verify-eq1", "--kmax", "6", "--nmax", "5")
+    assert code == 0
+    assert len(json.loads(out)["details"]["checks"]) == 42
+    # k + 2n = 17 is past the coefficient table's bound
+    for kmax, nmax in (("17", "0"), ("1", "8")):
+        code, out, err = run_cli(capsys, "diffposet", "verify-eq1", "--kmax", kmax, "--nmax", nmax)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the configured bound 16" in err
+
+
 def test_rs_forward_inverse(capsys):
     code, out, _ = run_cli(capsys, "rs", "forward", "--matching", "1-4,2-3")
     assert code == 0
@@ -187,8 +204,17 @@ def test_homomesy_matchings(capsys):
     payload = json.loads(out)
     assert payload["outcome"] == "pass"
     assert payload["details"]["triples"] == [["1-2,3-4", "1-3,2-4", "1-4,2-3"]]
-    assert payload["details"]["search"]["mode"] == "sequential"
+    assert payload["details"]["search"]["engine"] == "value-count"
     assert "time_seconds" not in payload["details"]["search"]
+
+
+def test_homomesy_large_set(capsys):
+    # 10,395 items: deeper than the interpreter's recursion limit in triples
+    code, out, _ = run_cli(capsys, "homomesy", "--target-set", "matchings", "--n", "6")
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["status"] == "certificate"
+    assert len(details["triples"]) == 3465
 
 
 def test_homomesy_tableaux(capsys):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osctab import kernels
 from osctab.errors import CoverageError, NotDivisibleByThreeError
 from osctab.homomesy import (
     TriplePartition,
@@ -90,7 +91,9 @@ def test_search_exhausts_to_infeasible():
 
 
 @given(
-    st.lists(st.integers(0, 4), min_size=3, max_size=12).filter(lambda v: len(v) % 3 == 0),
+    st.integers(1, 5).flatmap(
+        lambda t: st.lists(st.integers(0, 4), min_size=3 * t, max_size=3 * t)
+    ),
     st.integers(0, 9),
 )
 @settings(deadline=None, max_examples=150)
@@ -187,3 +190,24 @@ def test_mate_must_be_involution():
     with pytest.raises(ValueError):
         triple_partition_search(items, 1, mate={"x0": "x1", "x1": "x2", "x2": "x0"})
 
+
+def test_search_verifies_before_reporting(monkeypatch):
+    # a kernel that claims a certificate: one triple of sum 2, then no triples at all
+    for triples, target in (([(0, 1, 2)], 3), ([], 2)):
+        monkeypatch.setattr(
+            kernels, "triple_search", lambda *args: (kernels.STATUS_FOUND, triples, 1)
+        )
+        with pytest.raises(RuntimeError):
+            triple_partition_search(items_of([0, 1, 1]), target)
+
+
+def test_value_count_search_resolves_the_open_instances():
+    matchings5 = search_matchings(5)
+    assert matchings5.found
+    assert len(matchings5.partition.triples) == 315
+    assert homomesy_verify(matchings5.partition, matching_items(5))
+    walks = search_tableaux((2,), 3)
+    assert walks.found
+    assert walks.target == 54
+    assert homomesy_verify(walks.partition, tableau_items((2,), 3))
+    assert search_matchings(5, conjugation_closed=True).status == "infeasible"

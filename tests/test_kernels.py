@@ -92,7 +92,9 @@ def random_involution(size, rng):
 
 
 @given(
-    st.lists(st.integers(0, 3), min_size=3, max_size=12).filter(lambda v: len(v) % 3 == 0),
+    st.integers(1, 5).flatmap(
+        lambda t: st.lists(st.integers(0, 3), min_size=3 * t, max_size=3 * t)
+    ),
     st.integers(0, 6),
     st.booleans(),
     st.randoms(use_true_random=False),
@@ -114,3 +116,45 @@ def test_triple_search_matches_brute_force(values, target, with_mate, rng):
 def test_triple_search_budget():
     status, triples, nodes = kernels.triple_search([0, 1, 2] * 8, 3, 5, 60.0, None)
     assert (status, triples, nodes) == (kernels.STATUS_BUDGET, [], 5)
+
+
+def test_triple_search_deep_certificate():
+    # 1500 triples deep: the search keeps its own stack instead of recursing
+    values = [0, 1, 2] * 1500
+    status, triples, nodes = kernels.triple_search(values, 3, 10**6, 0, None)
+    assert (status, nodes) == (kernels.STATUS_FOUND, 1500)
+    assert sorted(x for t in triples for x in t) == list(range(len(values)))
+    assert all(values[i] + values[j] + values[k] == 3 for i, j, k in triples)
+
+
+def test_triple_search_mate_pair_without_fixed_point():
+    # the pair {0, 1} needs a fixed point of value 3 and there is none
+    values, mate = [0, 0, 1, 1, 2, 2], [1, 0, 2, 3, 4, 5]
+    assert closed_partition_exists(values, 3, None)
+    assert not closed_partition_exists(values, 3, mate)
+    assert kernels.triple_search(values, 3, 10**6, 0, mate) == (kernels.STATUS_INFEASIBLE, [], 1)
+
+
+# instances on which the count search backtracks: one without a certificate, one with
+BACKTRACKING = [
+    ([8, 5, 9, 19, 13, 6, 0, 8, 2, 13, 18, 4, 13, 4, 14, 6, 4, 13, 19, 6, 5, 4, 4, 4,
+      14, 13, 18, 4, 4, 12, 10, 7, 6, 16, 14, 14, 13, 12, 5, 18, 13, 16, 5, 5, 6, 12, 11, 15],
+     29, kernels.STATUS_INFEASIBLE),
+    ([21, 13, 4, 18, 11, 0, 15, 17, 3, 9, 11, 10, 11, 0, 1, 14, 17, 1, 9, 19, 9, 12, 4, 19,
+      0, 2, 4, 13, 16, 1, 0, 18, 19, 11, 7, 19, 6, 20, 15, 13, 1, 21],
+     31, kernels.STATUS_FOUND),
+]
+
+
+@pytest.mark.parametrize("values, target, expected", BACKTRACKING)
+def test_triple_search_dead_vectors(monkeypatch, values, target, expected):
+    # remembering dead count vectors saves nodes; forgetting them changes no answer
+    status, triples, remembered = kernels.triple_search(values, target, 10**6, 0, None)
+    monkeypatch.setattr(kernels, "_DEAD_LIMIT", 0)
+    forgotten = kernels.triple_search(values, target, 10**6, 0, None)
+    assert status == forgotten[0] == expected
+    assert triples == forgotten[1]
+    assert remembered < forgotten[2]
+    if triples:
+        assert sorted(x for t in triples for x in t) == list(range(len(values)))
+        assert all(values[i] + values[j] + values[k] == target for i, j, k in triples)
