@@ -6,9 +6,11 @@ as {"num": ..., "den": ...} string pairs so downstream consumers never
 round.  Output is byte-identical across runs by default; timing data is
 only included with --timing since it would break that.
 
-Exit status: 0 for pass and for search outcomes certificate/infeasible,
-1 for a failed verification, 2 for usage or input errors, 3 for an
-exhausted search budget.
+Each handler only computes: it returns a RunReport (or prints its CSV
+table and returns None).  `main` alone reads the clock, prints reports
+and errors, and maps outcomes to exit statuses: 0 for pass and for
+search outcomes certificate/infeasible, 1 for a failed verification, 2
+for usage or input errors, 3 for an exhausted search budget.
 """
 
 import argparse
@@ -69,11 +71,6 @@ def _tableau_json(tableau) -> list[list[int]]:
     return [list(step) for step in tableau]
 
 
-def _emit(report: RunReport, timing: bool) -> int:
-    print(report.to_json(timing))
-    return report.exit_code
-
-
 def _check_rows_payload(rows) -> tuple[str, list[dict[str, str]]]:
     if not rows:
         raise OsctabError("no checks in range; a battery with no checks cannot pass")
@@ -85,8 +82,7 @@ def _check_rows_payload(rows) -> tuple[str, list[dict[str, str]]]:
     return outcome, payload
 
 
-def cmd_count(args) -> int:
-    started = time.monotonic()
+def cmd_count(args) -> RunReport:
     shape = parse_partition(args.shape)
     formula = tableaux.count_formula(shape, args.n)
     details: dict[str, Any] = {"formula": str(formula)}
@@ -103,24 +99,16 @@ def cmd_count(args) -> int:
             if args.skip_enumeration
             else "enumeration skipped (beyond configured bound)"
         )
-    report = RunReport(
-        "count",
-        {"shape": format_partition(shape), "n": args.n},
-        outcome,
-        details,
-        time.monotonic() - started,
-    )
-    return _emit(report, args.timing)
+    return RunReport("count", {"shape": format_partition(shape), "n": args.n}, outcome, details)
 
 
-def cmd_enumerate(args) -> int:
-    started = time.monotonic()
+def cmd_enumerate(args) -> RunReport:
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
     walks = [
         _tableau_json(t) for t in tableaux.enumerate_ot(start, shape, args.length)
     ]
-    report = RunReport(
+    return RunReport(
         "enumerate",
         {
             "mu": format_partition(start),
@@ -129,13 +117,10 @@ def cmd_enumerate(args) -> int:
         },
         "pass",
         {"count": str(len(walks)), "walks": walks},
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
-def cmd_avg_weight(args) -> int:
-    started = time.monotonic()
+def cmd_avg_weight(args) -> RunReport:
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
     if args.length is not None:
@@ -153,32 +138,26 @@ def cmd_avg_weight(args) -> int:
         details["equal"] = enumerated == formula
         details["average_size"] = _frac(tableaux.average_size_formula(size(shape), args.n))
         outcome = "pass" if enumerated == formula else "fail"
-    report = RunReport(
+    return RunReport(
         "avg-weight",
         {"mu": format_partition(start), "shape": format_partition(shape)},
         outcome,
         details,
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
-def cmd_gf(args) -> int:
-    started = time.monotonic()
+def cmd_gf(args) -> RunReport:
     shape = parse_partition(args.shape)
     poly = tableaux.weight_generating_function(shape, args.length)
-    report = RunReport(
+    return RunReport(
         "gf",
         {"shape": format_partition(shape), "length": args.length},
         "pass",
         {"weight_generating_function": poly.to_json_dict()},
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
-def cmd_q_table(args) -> int:
-    started = time.monotonic()
+def cmd_q_table(args) -> RunReport:
     table = diffposet.q_table(args.lmax)
     entries = []
     for l in range(args.lmax + 1):
@@ -187,14 +166,10 @@ def cmd_q_table(args) -> int:
                 poly = table.q(i, j, l)
                 if not poly.is_zero():
                     entries.append({"i": i, "j": j, "l": l, "poly": poly.to_json_dict()})
-    report = RunReport(
-        "diffposet q-table", {"lmax": args.lmax}, "pass", {"entries": entries},
-        time.monotonic() - started,
-    )
-    return _emit(report, args.timing)
+    return RunReport("diffposet q-table", {"lmax": args.lmax}, "pass", {"entries": entries})
 
 
-def cmd_b_table(args) -> int:
+def cmd_b_table(args) -> None:
     table = diffposet.q_table(args.lmax)
     lines = ["i,l,b,c"]
     for l in range(args.lmax + 1):
@@ -205,11 +180,9 @@ def cmd_b_table(args) -> int:
                 f"{i},{l},{diffposet.b_value(i, l)},{diffposet.c_value(i, l, 'derivative', table)}"
             )
     print("\n".join(lines))
-    return EXIT_PASS
 
 
-def cmd_verify_eq1(args) -> int:
-    started = time.monotonic()
+def cmd_verify_eq1(args) -> RunReport:
     # one table up to the largest length in the grid; past its bound this exits 2
     table = diffposet.q_table(args.kmax + 2 * args.nmax)
     rows = []
@@ -226,21 +199,18 @@ def cmd_verify_eq1(args) -> int:
                 }
             )
     outcome = "pass" if all(r["passed"] for r in rows) else "fail"
-    report = RunReport(
+    return RunReport(
         "diffposet verify-eq1",
         {"kmax": args.kmax, "nmax": args.nmax},
         outcome,
         {"checks": rows},
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
-def cmd_rs_forward(args) -> int:
-    started = time.monotonic()
+def cmd_rs_forward(args) -> RunReport:
     matching = matchings.parse_matching(args.matching)
     tableau = matchings.matching_to_tableau(matching)
-    report = RunReport(
+    return RunReport(
         "rs forward",
         {"matching": matchings.format_matching(matching)},
         "pass",
@@ -250,34 +220,24 @@ def cmd_rs_forward(args) -> int:
             "dyck": matchings.dyck_of_matching(matching),
             "weight": str(tableaux.weight(tableau)),
         },
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
-def cmd_rs_inverse(args) -> int:
-    started = time.monotonic()
+def cmd_rs_inverse(args) -> RunReport:
     tableau = tableaux.parse_tableau(args.tableau)
     matching = matchings.tableau_to_matching(tableau)
-    report = RunReport(
+    return RunReport(
         "rs inverse",
         {"tableau": tableaux.format_tableau(tableau)},
         "pass",
         {"matching": matchings.format_matching(matching)},
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
-def cmd_rs_roundtrip(args) -> int:
-    started = time.monotonic()
+def cmd_rs_roundtrip(args) -> RunReport:
     rows = verify.suite_rs(args.n)
     outcome, payload = _check_rows_payload(rows)
-    report = RunReport(
-        "rs roundtrip", {"n": args.n}, outcome, {"checks": payload},
-        time.monotonic() - started,
-    )
-    return _emit(report, args.timing)
+    return RunReport("rs roundtrip", {"n": args.n}, outcome, {"checks": payload})
 
 
 def _stats_rows(n):
@@ -295,8 +255,7 @@ def _stats_rows(n):
         }
 
 
-def cmd_stats(args) -> int:
-    started = time.monotonic()
+def cmd_stats(args) -> RunReport | None:
     if args.n > matchings.MAX_MATCHING_N:
         raise BoundExceededError(
             f"n = {args.n} exceeds the configured bound {matchings.MAX_MATCHING_N}"
@@ -309,16 +268,11 @@ def cmd_stats(args) -> int:
                 f"{row['matching']},{row['cr']},{row['ne']},{row['al']},"
                 f"{row['dyck']},{row['area']},{row['wt']}"
             )
-        return EXIT_PASS
-    report = RunReport(
-        "stats", {"n": args.n}, "pass", {"rows": list(_stats_rows(args.n))},
-        time.monotonic() - started,
-    )
-    return _emit(report, args.timing)
+        return None
+    return RunReport("stats", {"n": args.n}, "pass", {"rows": list(_stats_rows(args.n))})
 
 
-def cmd_homomesy(args) -> int:
-    started = time.monotonic()
+def cmd_homomesy(args) -> RunReport:
     if args.target_set == "matchings":
         result = homomesy.search_matchings(
             args.n,
@@ -349,7 +303,7 @@ def cmd_homomesy(args) -> int:
     outcome = {"certificate": "pass", "infeasible": "infeasible", "budget-exhausted": "budget-exhausted"}[
         result.status
     ]
-    report = RunReport(
+    return RunReport(
         "homomesy",
         {
             "target_set": args.target_set,
@@ -359,13 +313,10 @@ def cmd_homomesy(args) -> int:
         },
         outcome,
         details,
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
-def cmd_skew_scan(args) -> int:
-    started = time.monotonic()
+def cmd_skew_scan(args) -> RunReport:
     report_data = tableaux.skew_denominator_scan(
         args.max_mu, args.max_shape, args.max_length, keep_records=args.records
     )
@@ -391,7 +342,7 @@ def cmd_skew_scan(args) -> int:
     }
     if args.records:
         details["records"] = [case_json(c) for c in report_data.records]
-    report = RunReport(
+    return RunReport(
         "skew-scan",
         {
             "max_mu": args.max_mu,
@@ -400,23 +351,18 @@ def cmd_skew_scan(args) -> int:
         },
         "pass",
         details,
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args) -> RunReport:
     rows = verify.run_suite(args.suite, args.kmax, args.nmax)
     outcome, payload = _check_rows_payload(rows)
-    report = RunReport(
+    return RunReport(
         "verify",
         {"suite": args.suite, "kmax": args.kmax, "nmax": args.nmax},
         outcome,
         {"checks": payload, "total": len(payload)},
-        time.monotonic() - started,
     )
-    return _emit(report, args.timing)
 
 
 def _non_negative(convert):
@@ -542,16 +488,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except OsctabError as exc:
+        report = args.func(args)
+    except (OsctabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if report is None:  # a CSV table, already printed
+        return EXIT_PASS
+    report.elapsed = time.monotonic() - started
+    print(report.to_json(args.timing))
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -101,16 +101,16 @@ def ud_straighten_check(i: int, bound: int) -> bool:
     return True
 
 
-def power_ud_coefficient(
-    partition: Partition, length: int, max_length: int = DEFAULT_POWER_BOUND
-) -> int:
+def power_ud_coefficient(partition: Partition, length: int) -> int:
     """Coefficient of the partition in (U + D)^length applied to the empty one.
 
     That coefficient counts the length-`length` walks from the empty
     partition to this one, which the walk-profile kernel totals.
     """
-    if length > max_length:
-        raise BoundExceededError(f"length {length} exceeds the configured bound {max_length}")
+    if length > DEFAULT_POWER_BOUND:
+        raise BoundExceededError(
+            f"length {length} exceeds the configured bound {DEFAULT_POWER_BOUND}"
+        )
     return sum(kernels.ot_weight_profile(EMPTY, partition, length))
 
 
@@ -123,9 +123,11 @@ class CoeffTable:
     nonzero only when i + j <= l and i + j has the parity of l.
     """
 
-    def __init__(self, l_max: int, max_table: int = DEFAULT_TABLE_BOUND):
-        if l_max > max_table:
-            raise BoundExceededError(f"l_max {l_max} exceeds the configured bound {max_table}")
+    def __init__(self, l_max: int):
+        if l_max > DEFAULT_TABLE_BOUND:
+            raise BoundExceededError(
+                f"l_max {l_max} exceeds the configured bound {DEFAULT_TABLE_BOUND}"
+            )
         self.l_max = l_max
         self._entries: dict[tuple[int, int, int], LaurentPolynomial] = {
             (0, 0, 0): LaurentPolynomial.one()
@@ -157,8 +159,8 @@ class CoeffTable:
         return self.q(i, j, l).derivative_at_one()
 
 
-def q_table(l_max: int, max_table: int = DEFAULT_TABLE_BOUND) -> CoeffTable:
-    return CoeffTable(l_max, max_table)
+def q_table(l_max: int) -> CoeffTable:
+    return CoeffTable(l_max)
 
 
 def b_value(i: int, l: int) -> int:

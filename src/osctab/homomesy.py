@@ -46,7 +46,6 @@ class TriplePartition:
 
     triples: list[tuple[str, str, str]]
     target: int
-    statistic: str = "value"
 
 
 @dataclass
@@ -103,7 +102,6 @@ def triple_partition_search(
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
     mate: Optional[dict[str, str]] = None,
-    statistic: str = "value",
 ) -> SearchResult:
     """Partition the items into triples of value sum `target`, if possible.
 
@@ -124,9 +122,7 @@ def triple_partition_search(
     partition = None
     if status == kernels.STATUS_FOUND:
         partition = TriplePartition(
-            [(items[i][0], items[j][0], items[k][0]) for i, j, k in triples],
-            target,
-            statistic,
+            [(items[i][0], items[j][0], items[k][0]) for i, j, k in triples], target
         )
         try:
             verified = homomesy_verify(partition, items)
@@ -198,7 +194,6 @@ def matching_items(n: int) -> list[WeightedItem]:
 def _search_set(
     items: list[WeightedItem],
     noun: str,
-    statistic: str,
     target: Callable[[], int],
     conjugate: Callable[[str], str],
     node_budget: int,
@@ -213,7 +208,7 @@ def _search_set(
     mate = None
     if conjugation_closed:
         mate = {identifier: conjugate(identifier) for identifier, _ in items}
-    return triple_partition_search(items, target(), node_budget, time_budget, mate, statistic)
+    return triple_partition_search(items, target(), node_budget, time_budget, mate)
 
 
 def search_tableaux(
@@ -231,7 +226,6 @@ def search_tableaux(
     return _search_set(
         tableau_items(shape, n),
         "walks",
-        "weight",
         lambda: orbit_sum_target_tableaux(size(shape), n),
         lambda text: format_tableau(conjugate_tableau(parse_tableau(text))),
         node_budget,
@@ -250,7 +244,6 @@ def search_matchings(
     return _search_set(
         matching_items(n),
         "matchings",
-        "alignments",
         lambda: orbit_sum_target_matchings(n),
         lambda text: format_matching(conjugate_matching(parse_matching(text))),
         node_budget,

@@ -28,10 +28,6 @@ class LaurentPolynomial:
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coeff})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

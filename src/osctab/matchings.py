@@ -47,14 +47,14 @@ def format_matching(matching: PerfectMatching, pair_sep: str = ",") -> str:
     return pair_sep.join(f"{a}-{b}" for a, b in matching)
 
 
-def enumerate_matchings(n: int, max_n: int = MAX_MATCHING_N) -> Iterator[PerfectMatching]:
+def enumerate_matchings(n: int) -> Iterator[PerfectMatching]:
     """All matchings of {1, ..., 2n}, ordered by their sorted pair lists.
 
     The smallest free element is always paired next, with its partner
     ascending, which produces lexicographic order directly.
     """
-    if n > max_n:
-        raise BoundExceededError(f"n = {n} exceeds the configured bound {max_n}")
+    if n > MAX_MATCHING_N:
+        raise BoundExceededError(f"n = {n} exceeds the configured bound {MAX_MATCHING_N}")
     free = list(range(1, 2 * n + 1))
 
     def rec(chosen: list[tuple[int, int]]) -> Iterator[PerfectMatching]:
@@ -95,10 +95,10 @@ def stats(matching: PerfectMatching) -> MatchingStats:
     return MatchingStats(cr, ne, al)
 
 
-def joint_distribution(n: int, max_n: int = MAX_MATCHING_N) -> Counter:
+def joint_distribution(n: int) -> Counter:
     """Multiset of (crossings, nestings, alignments) over all matchings of [2n]."""
-    if n > max_n:
-        raise BoundExceededError(f"n = {n} exceeds the configured bound {max_n}")
+    if n > MAX_MATCHING_N:
+        raise BoundExceededError(f"n = {n} exceeds the configured bound {MAX_MATCHING_N}")
     return Counter(kernels.joint_distribution_counts(n))
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from osctab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -308,7 +314,73 @@ def test_output_reproducible(capsys):
     assert first == second
 
 
-def test_timing_flag_adds_elapsed(capsys):
-    code, out, _ = run_cli(capsys, "--timing", "count", "--shape", "-", "--n", "1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--shape", "-", "--n", "1"),
+        ("gf", "--shape", "1", "--length", "3"),
+        ("diffposet", "q-table", "--lmax", "3"),
+        ("rs", "forward", "--matching", "1-4,2-3"),
+        ("rs", "roundtrip", "--n", "2"),
+        ("stats", "--n", "2", "--format", "json"),
+        ("homomesy", "--target-set", "matchings", "--n", "2"),
+        ("skew-scan", "--max-mu", "1", "--max-shape", "2", "--max-length", "4"),
+        ("verify", "--suite", "skew"),
+    ],
+)
+def test_timing_flag_adds_elapsed(capsys, argv):
+    code, out, _ = run_cli(capsys, "--timing", *argv)
     assert code == 0
-    assert "elapsed_seconds" in json.loads(out)
+    assert json.loads(out)["elapsed_seconds"] > 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "elapsed_seconds" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (("stats", "--n", "2"), "matching,cr,ne,al,dyck,area,wt"),
+        (("diffposet", "b-table", "--lmax", "4"), "i,l,b,c"),
+    ],
+)
+def test_timing_flag_leaves_csv_alone(capsys, argv, header):
+    code, timed, _ = run_cli(capsys, "--timing", *argv)
+    assert code == 0
+    assert timed.splitlines()[0] == header
+    assert "elapsed" not in timed
+    assert run_cli(capsys, *argv) == (0, timed, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a plain ValueError from the matching parser
+        (("rs", "forward", "--matching", "1-1"), "error: "),
+        # an OsctabError (PartitionParseError)
+        (("count", "--shape", "1,2", "--n", "1"), "weakly decreasing"),
+    ],
+)
+def test_input_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (("count", "--shape", "-", "--n", "1"), 0),
+        (("count", "--shape", "1,2", "--n", "1"), 2),
+        (("homomesy", "--target-set", "matchings", "--n", "5",
+          "--budget-nodes", "2", "--budget-seconds", "0"), 3),
+    ],
+)
+def test_exit_status_of_a_real_process(argv, status):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "osctab.cli", *argv], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == status, done.stderr
