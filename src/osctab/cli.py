@@ -10,7 +10,9 @@ Each handler only computes: it returns a RunReport (or prints its CSV
 table and returns None).  `main` alone reads the clock, prints reports
 and errors, and maps outcomes to exit statuses: 0 for pass and for
 search outcomes certificate/infeasible, 1 for a failed verification, 2
-for usage or input errors, 3 for an exhausted search budget.
+for usage or input errors, 3 for an exhausted search budget.  A
+report's details may be Streamed text that is computed while `main`
+writes it, so the stats table never sits in memory whole.
 """
 
 import argparse
@@ -19,7 +21,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from itertools import chain, islice
+from typing import Any, Iterable, Iterator
 
 from . import diffposet, homomesy, kernels, matchings, tableaux, verify
 from .errors import BoundExceededError, OsctabError
@@ -33,25 +36,42 @@ EXIT_BUDGET = 3
 
 
 @dataclass
+class Streamed:
+    """A details value written while it is computed: pieces of its JSON
+    text, indented as the value of "details" is."""
+
+    chunks: Iterable[str]
+
+
+@dataclass
 class RunReport:
     """Envelope for one command invocation."""
 
     command: str
     parameters: dict[str, Any]
     outcome: str  # pass | fail | infeasible | budget-exhausted
-    details: Any
+    details: Any  # JSON data, or Streamed text
     elapsed: float = 0.0
 
-    def to_json(self, timing: bool = False) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "outcome": self.outcome,
-            "details": self.details,
-        }
+    def json_body(self) -> Iterator[str]:
+        """The report's indented JSON up to the end of "details"; json_end closes it."""
+        head = (
+            f'{{\n  "command": {json.dumps(self.command)},\n'
+            f'  "parameters": {_nested_json(self.parameters)},\n'
+            f'  "outcome": {json.dumps(self.outcome)},\n'
+            '  "details": '
+        )
+        if isinstance(self.details, Streamed):
+            yield head
+            yield from self.details.chunks
+        else:
+            yield head + _nested_json(self.details)
+
+    def json_end(self, timing: bool) -> str:
+        """The rest of the object: elapsed_seconds, the last field, with timing."""
         if timing:
-            payload["elapsed_seconds"] = round(self.elapsed, 6)
-        return json.dumps(payload, indent=2, sort_keys=False)
+            return f',\n  "elapsed_seconds": {json.dumps(round(self.elapsed, 6))}\n}}'
+        return "\n}"
 
     @property
     def exit_code(self) -> int:
@@ -61,6 +81,11 @@ class RunReport:
             "fail": EXIT_FAIL,
             "budget-exhausted": EXIT_BUDGET,
         }[self.outcome]
+
+
+def _nested_json(value: Any) -> str:
+    """json.dumps(value, indent=2) as it reads one level deep in an indented object."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def _frac(value: Fraction) -> dict[str, str]:
@@ -240,19 +265,26 @@ def cmd_rs_roundtrip(args) -> RunReport:
     return RunReport("rs roundtrip", {"n": args.n}, outcome, {"checks": payload})
 
 
-def _stats_rows(n):
-    for m in matchings.enumerate_matchings(n):
-        s = matchings.stats(m)
-        word = matchings.dyck_of_matching(m)
-        yield {
-            "matching": matchings.format_matching(m, pair_sep=";"),
-            "cr": s.crossings,
-            "ne": s.nestings,
-            "al": s.alignments,
-            "dyck": word,
-            "area": matchings.area(word),
-            "wt": matchings.weight_of_alignments(n, s.alignments),
-        }
+# Rows per write: a JSON row is at most 203 bytes (n = 8), so a write stays under 13 KiB.
+_ROWS_PER_WRITE = 64
+
+
+def _stats_rows(n: int) -> Iterator[tuple[str, int, int, int, str, int, int]]:
+    """The seven table columns of each matching of [2n], in enumerate_matchings order."""
+    areas: dict[str, int] = {}  # matchings.area once per distinct word, 1,430 at n = 8
+    for text, cr, ne, al, word in matchings.scan_matchings(n):
+        area = areas.get(word)
+        if area is None:
+            area = areas[word] = matchings.area(word)
+        yield text, cr, ne, al, word, area, matchings.weight_of_alignments(n, al)
+
+
+def _joined(rows: Iterator[str], sep: str) -> Iterator[str]:
+    """sep.join(rows), _ROWS_PER_WRITE rows at a time."""
+    lead = ""
+    while batch := list(islice(rows, _ROWS_PER_WRITE)):
+        yield lead + sep.join(batch)
+        lead = sep
 
 
 def cmd_stats(args) -> RunReport | None:
@@ -260,16 +292,26 @@ def cmd_stats(args) -> RunReport | None:
         raise BoundExceededError(
             f"n = {args.n} exceeds the configured bound {matchings.MAX_MATCHING_N}"
         )
+    # both formats stream: n = 8 means two million rows
     if args.format == "csv":
-        # streamed: n = 8 means two million rows
-        print("matching,cr,ne,al,dyck,area,wt")
-        for row in _stats_rows(args.n):
-            print(
-                f"{row['matching']},{row['cr']},{row['ne']},{row['al']},"
-                f"{row['dyck']},{row['area']},{row['wt']}"
-            )
+        lines = (
+            f"{text},{cr},{ne},{al},{word},{area},{wt}\n"
+            for text, cr, ne, al, word, area, wt in _stats_rows(args.n)
+        )
+        write = sys.stdout.write
+        write("matching,cr,ne,al,dyck,area,wt\n")
+        for chunk in _joined(lines, ""):
+            write(chunk)
         return None
-    return RunReport("stats", {"n": args.n}, "pass", {"rows": list(_stats_rows(args.n))})
+    # matching and word texts hold only digits, '-' and ';', which JSON leaves unescaped
+    rows = (
+        f'      {{\n        "matching": "{text}",\n        "cr": {cr},\n        "ne": {ne},\n'
+        f'        "al": {al},\n        "dyck": "{word}",\n        "area": {area},\n'
+        f'        "wt": {wt}\n      }}'
+        for text, cr, ne, al, word, area, wt in _stats_rows(args.n)
+    )
+    text = chain(['{\n    "rows": [\n'], _joined(rows, ",\n"), ["\n    ]\n  }"])
+    return RunReport("stats", {"n": args.n}, "pass", Streamed(text))
 
 
 def cmd_homomesy(args) -> RunReport:
@@ -497,8 +539,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     if report is None:  # a CSV table, already printed
         return EXIT_PASS
+    for chunk in report.json_body():
+        sys.stdout.write(chunk)
     report.elapsed = time.monotonic() - started
-    print(report.to_json(args.timing))
+    sys.stdout.write(report.json_end(args.timing) + "\n")
     return report.exit_code
 
 

@@ -73,6 +73,51 @@ def enumerate_matchings(n: int) -> Iterator[PerfectMatching]:
     yield from rec([])
 
 
+def scan_matchings(n: int) -> Iterator[tuple[str, int, int, int, str]]:
+    """Every matching of [2n] with its statistics, in enumerate_matchings order.
+
+    Yields (text, cr, ne, al, word) where text is format_matching(m, ";"),
+    (cr, ne, al) is kernels.matching_stats(partner_array(m)) and word is
+    dyck_of_matching(m).  The pairing is enumerate_matchings' depth-first
+    one, and each row is carried down it at O(1) per pair: with k pairs
+    chosen, pairing the smallest free a with a free b
+      - aligns (a, b) with the a - 1 - k closers below a (every element
+        below a is used, k of them openers);
+      - nests it inside the arcs closed above b, one for each used
+        element above b (all used elements above a are closers);
+      - crosses the other arcs open at a, 2k - (a - 1) open in all.
+    Every later pair meets (a, b) when its own opener is chosen, so each
+    pair of arcs is classified exactly once.  The word keeps its letters
+    up to a: the elements between two openers are closers.
+    """
+    if n > MAX_MATCHING_N:
+        raise BoundExceededError(f"n = {n} exceeds the configured bound {MAX_MATCHING_N}")
+    size = 2 * n
+    free = list(range(1, size + 1))
+
+    def rec(k, text, word, cr, ne, al):
+        a = free.pop(0)
+        head = f"{text};{a}-" if k else f"{a}-"
+        word += "0" * (a - 1 - len(word)) + "1"
+        al += a - 1 - k
+        open_at_a = 2 * k - (a - 1)
+        last = len(free) - 1
+        for idx in range(len(free)):
+            b = free.pop(idx)
+            nested = size - b - (last - idx)
+            if free:
+                yield from rec(k + 1, f"{head}{b}", word, cr + open_at_a - nested, ne + nested, al)
+            else:
+                yield f"{head}{b}", cr + open_at_a - nested, ne + nested, al, word.ljust(size, "0")
+            free.insert(idx, b)
+        free.insert(0, a)
+
+    if n == 0:
+        yield "", 0, 0, 0, ""
+    else:
+        yield from rec(0, "", "", 0, 0, 0)
+
+
 def partner_array(matching: PerfectMatching) -> list[int]:
     """0-indexed partner positions, the kernel-level encoding."""
     partner = [0] * (2 * len(matching))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from osctab import matchings
 from osctab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -138,6 +139,76 @@ def test_stats_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["details"]["rows"]) == 3
+
+
+def stats_rows_oracle(n):
+    """The stats rows built one matching at a time from the per-matching functions."""
+    for m in matchings.enumerate_matchings(n):
+        s = matchings.stats(m)
+        word = matchings.dyck_of_matching(m)
+        yield {
+            "matching": matchings.format_matching(m, pair_sep=";"),
+            "cr": s.crossings,
+            "ne": s.nestings,
+            "al": s.alignments,
+            "dyck": word,
+            "area": matchings.area(word),
+            "wt": matchings.weight_of_alignments(n, s.alignments),
+        }
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_stats_bytes_equal_the_row_oracle(capsys, n):
+    rows = list(stats_rows_oracle(n))
+    csv = "matching,cr,ne,al,dyck,area,wt\n" + "".join(
+        ",".join(str(value) for value in row.values()) + "\n" for row in rows
+    )
+    assert run_cli(capsys, "stats", "--n", str(n)) == (0, csv, "")
+    payload = {"command": "stats", "parameters": {"n": n}, "outcome": "pass",
+               "details": {"rows": rows}}
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert run_cli(capsys, "stats", "--n", str(n), "--format", "json") == (0, expected, "")
+    code, timed, _ = run_cli(capsys, "--timing", "stats", "--n", str(n), "--format", "json")
+    assert code == 0
+    elapsed = json.loads(timed)["elapsed_seconds"]
+    assert timed == json.dumps({**payload, "elapsed_seconds": elapsed}, indent=2) + "\n"
+
+
+class WriteRecorder:
+    """Stands in for sys.stdout and keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stats_streams_in_bounded_writes(monkeypatch, fmt):
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["stats", "--n", "6", "--format", fmt]) == 0
+    assert max(len(text.encode()) for text in out.writes) <= 64 * 1024
+    text = "".join(out.writes)
+    rows = text.splitlines()[1:] if fmt == "csv" else json.loads(text)["details"]["rows"]
+    assert len(rows) == 10395
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--shape", "2,1", "--n", "1"),
+        ("rs", "forward", "--matching", "1-4,2-3"),
+        ("skew-scan", "--max-mu", "1", "--max-shape", "1", "--max-length", "2", "--records"),
+    ],
+)
+def test_reports_print_as_json_dumps(capsys, argv):
+    for timing in ((), ("--timing",)):
+        code, out, _ = run_cli(capsys, *timing, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_diffposet_q_table(capsys):

@@ -1,8 +1,10 @@
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from osctab import kernels
 from osctab.errors import (
     BoundExceededError,
     InvalidDyckWordError,
@@ -22,8 +24,10 @@ from osctab.matchings import (
     matching_of_permutation,
     matching_to_tableau,
     parse_matching,
+    partner_array,
     permutation_bridge,
     prefix_stats,
+    scan_matchings,
     sigma_on_permutation_matchings,
     stats,
     tableau_to_matching,
@@ -78,6 +82,22 @@ def test_enumerate_examples():
 def test_enumerate_bound():
     with pytest.raises(BoundExceededError):
         list(enumerate_matchings(9))
+    with pytest.raises(BoundExceededError):
+        list(scan_matchings(9))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_scan_rows_equal_enumerated_stats(n):
+    expected = [
+        (format_matching(m, ";"), *kernels.matching_stats(partner_array(m)), dyck_of_matching(m))
+        for m in enumerate_matchings(n)
+    ]
+    assert list(scan_matchings(n)) == expected
+
+
+def test_scan_distribution_equals_joint_dp():
+    counts = Counter((cr, ne, al) for _, cr, ne, al, _ in scan_matchings(7))
+    assert dict(counts) == kernels.joint_distribution_counts(7)
 
 
 def test_stats_examples():
