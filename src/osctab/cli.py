@@ -12,7 +12,8 @@ and errors, and maps outcomes to exit statuses: 0 for pass and for
 search outcomes certificate/infeasible, 1 for a failed verification, 2
 for usage or input errors, 3 for an exhausted search budget.  A
 report's details may be Streamed text that is computed while `main`
-writes it, so the stats table never sits in memory whole.
+writes it, so neither the stats table nor the enumerated walks sit in
+memory whole.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator
 
@@ -130,9 +132,19 @@ def cmd_count(args) -> RunReport:
 def cmd_enumerate(args) -> RunReport:
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
-    walks = [
-        _tableau_json(t) for t in tableaux.enumerate_ot(start, shape, args.length)
-    ]
+    # two passes: "count" is written before "walks", and a capped run fails before any output
+    count = sum(1 for _ in tableaux.enumerate_ot(start, shape, args.length))
+    # each distinct partition is rendered once, indented as a walk's step in the report
+    step_json = cache(lambda step: json.dumps(list(step), indent=2).replace("\n", "\n        "))
+    walks = (
+        "      [\n        " + ",\n        ".join(map(step_json, t)) + "\n      ]"
+        for t in tableaux.enumerate_ot(start, shape, args.length)
+    )
+    text = chain(
+        [f'{{\n    "count": "{count}",\n    "walks": [' + ("\n" if count else "")],
+        _joined(walks, ",\n"),
+        ["\n    ]\n  }" if count else "]\n  }"],
+    )
     return RunReport(
         "enumerate",
         {
@@ -141,7 +153,7 @@ def cmd_enumerate(args) -> RunReport:
             "length": args.length,
         },
         "pass",
-        {"count": str(len(walks)), "walks": walks},
+        Streamed(text),
     )
 
 

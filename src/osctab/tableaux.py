@@ -53,7 +53,7 @@ def is_oscillating_tableau(steps: Sequence[Partition]) -> bool:
 
 def weight(tableau: OscillatingTableau) -> int:
     """Sum of the sizes of every partition the walk visits, endpoints included."""
-    return sum(size(step) for step in tableau)
+    return sum(map(sum, tableau))
 
 
 def format_tableau(tableau: OscillatingTableau) -> str:
@@ -78,35 +78,58 @@ def enumerate_ot(
 
     At every step the single-box growths come first (largest part first)
     and the single-box removals after (top row first), which fixes a
-    reproducible total order on the output.  Branches that cannot reach
-    the target within the remaining steps are cut, so a parity or size
-    mismatch yields an empty iterator.  Raises BoundExceededError once
-    more than max_output walks (default from OSCTAB_MAX_ENUM) have been
-    produced.
+    reproducible total order on the output.  Raises BoundExceededError
+    once more than max_output walks (default from OSCTAB_MAX_ENUM) have
+    been produced; the walk (start,) of length 0 counts too.
+
+    One loop walks an explicit stack of move iterators, one per entry of
+    the current path.  A move table built for this call lists, once per
+    distinct partition, its single-box moves with each move's distance to
+    shape.  The distance changes by exactly one per step, so parity and
+    reach are checked once at the start (a mismatch yields an empty
+    iterator), and afterwards a move is taken exactly when its distance
+    is at most the steps left after it.
     """
     cap = max_enumeration_size() if max_output is None else max_output
-    path: list[Partition] = [start]
+    distance = cover_distance(start, shape)
+    if distance > length or (length - distance) % 2:
+        return
+    moves: dict[Partition, list[tuple[Partition, int]]] = {}
     produced = 0
-
-    def rec(current: Partition, remaining: int) -> Iterator[OscillatingTableau]:
-        nonlocal produced
-        dist = cover_distance(current, shape)
-        if dist > remaining or (remaining - dist) % 2:
-            return
-        if remaining == 0:
+    path = [start]
+    stack: list[Iterator[tuple[Partition, int]]] = []  # open moves out of path[i]
+    while True:
+        if len(path) > length:
             produced += 1
             if produced > cap:
                 raise BoundExceededError(
                     f"enumeration exceeds the configured cap of {cap} walks"
                 )
             yield tuple(path)
-            return
-        for nxt in covers_up(current) + covers_down(current):
-            path.append(nxt)
-            yield from rec(nxt, remaining - 1)
             path.pop()
-
-    yield from rec(start, length)
+        else:
+            current = path[-1]
+            table = moves.get(current)
+            if table is None:
+                table = moves[current] = [
+                    (nxt, cover_distance(nxt, shape))
+                    for nxt in covers_up(current) + covers_down(current)
+                ]
+            stack.append(iter(table))
+        # advance to the next prefix: the deepest open move that still reaches shape
+        while stack:
+            left = length - len(path)  # steps left after a move out of path[-1]
+            for nxt, distance in stack[-1]:
+                if distance <= left:
+                    break
+            else:
+                stack.pop()
+                path.pop()
+                continue
+            path.append(nxt)
+            break
+        else:
+            return
 
 
 def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]:

@@ -8,6 +8,8 @@ import pytest
 
 from osctab import matchings
 from osctab.cli import main
+from osctab.partitions import format_partition, parse_partition
+from osctab.tableaux import enumerate_ot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,6 +80,40 @@ def test_enumerate_walks(capsys):
     payload = json.loads(out)
     assert payload["details"]["count"] == "3"
     assert [[], [1], [2], [1], []] in payload["details"]["walks"]
+
+
+def enumerate_payload_oracle(mu, shape, length):
+    """The enumerate report built whole, every walk in a list, as json.dumps renders it."""
+    start, end = parse_partition(mu), parse_partition(shape)
+    walks = [[list(step) for step in walk] for walk in enumerate_ot(start, end, length)]
+    parameters = {"mu": format_partition(start), "shape": format_partition(end), "length": length}
+    return {"command": "enumerate", "parameters": parameters, "outcome": "pass",
+            "details": {"count": str(len(walks)), "walks": walks}}
+
+
+@pytest.mark.parametrize("mu", ["-", "1", "2,1"])
+@pytest.mark.parametrize("shape", ["-", "2", "1,1", "2,1"])
+def test_enumerate_bytes_equal_the_whole_payload(capsys, mu, shape):
+    for length in range(9):
+        argv = ("enumerate", "--mu", mu, "--shape", shape, "--length", str(length))
+        payload = enumerate_payload_oracle(mu, shape, length)
+        assert run_cli(capsys, *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+        code, timed, _ = run_cli(capsys, "--timing", *argv)
+        assert code == 0
+        elapsed = json.loads(timed)["elapsed_seconds"]
+        assert timed == json.dumps({**payload, "elapsed_seconds": elapsed}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("cap, code", [("14", 2), ("15", 0)])
+def test_enumerate_cap_fails_before_any_output(capsys, monkeypatch, cap, code):
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", cap)  # the walks of length 6 number 15
+    got, out, err = run_cli(capsys, "enumerate", "--shape", "-", "--length", "6")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and "cap of 14" in err
+    else:
+        assert json.loads(out)["details"]["count"] == "15"
 
 
 def test_avg_weight_formula_agreement(capsys):
@@ -194,6 +230,16 @@ def test_stats_streams_in_bounded_writes(monkeypatch, fmt):
     text = "".join(out.writes)
     rows = text.splitlines()[1:] if fmt == "csv" else json.loads(text)["details"]["rows"]
     assert len(rows) == 10395
+
+
+def test_enumerate_streams_in_bounded_writes(monkeypatch):
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "--shape", "-", "--length", "12"]) == 0
+    assert max(len(text.encode()) for text in out.writes) <= 64 * 1024
+    details = json.loads("".join(out.writes))["details"]
+    assert details["count"] == "10395"
+    assert len(details["walks"]) == 10395
 
 
 @pytest.mark.parametrize(

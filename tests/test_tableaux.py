@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from osctab import tableaux
 from osctab.errors import BoundExceededError, EmptyEnumerationError
 from osctab.laurent import LaurentPolynomial
-from osctab.partitions import partitions_up_to, size
+from osctab.partitions import cover_distance, covers_down, covers_up, partitions_up_to, size
 from osctab.tableaux import (
     average_size_formula,
     average_weight_enumerated,
@@ -153,6 +154,64 @@ def test_profile_matches_enumeration_histogram():
 def test_enumeration_cap():
     with pytest.raises(BoundExceededError):
         list(enumerate_ot((), (), 8, max_output=10))
+
+
+def recursive_enumerate_ot(start, shape, length):
+    """The recursive depth-first enumerator that enumerate_ot replaced, kept as its oracle."""
+    path = [start]
+
+    def rec(current, remaining):
+        dist = cover_distance(current, shape)
+        if dist > remaining or (remaining - dist) % 2:
+            return
+        if remaining == 0:
+            yield tuple(path)
+            return
+        for nxt in covers_up(current) + covers_down(current):
+            path.append(nxt)
+            yield from rec(nxt, remaining - 1)
+            path.pop()
+
+    yield from rec(start, length)
+
+
+def test_enumeration_order_equals_the_recursive_oracle():
+    cases = 0
+    for start in partitions_up_to(3):
+        for shape in partitions_up_to(4):
+            for length in range(9):
+                walks = list(enumerate_ot(start, shape, length))
+                assert walks == list(recursive_enumerate_ot(start, shape, length))
+                cases += bool(walks)
+    assert cases == 309
+
+
+def test_enumeration_cap_edges():
+    # the single walk of length 0 counts against the cap
+    with pytest.raises(BoundExceededError):
+        list(enumerate_ot((1,), (1,), 0, max_output=0))
+    assert list(enumerate_ot((1,), (1,), 0, max_output=1)) == [((1,),)]
+    for start, shape, length in (((), (), 6), ((1,), (2, 1), 4), ((2,), (1,), 3)):
+        count = len(list(recursive_enumerate_ot(start, shape, length)))
+        assert count > 1
+        assert len(list(enumerate_ot(start, shape, length, max_output=count))) == count
+        with pytest.raises(BoundExceededError):
+            list(enumerate_ot(start, shape, length, max_output=count - 1))
+
+
+def test_unreachable_endpoints_yield_nothing_without_a_search(monkeypatch):
+    calls = []
+    for name in ("covers_up", "covers_down"):
+        real = getattr(tableaux, name)
+        spy = lambda p, name=name, real=real: calls.append((name, p)) or real(p)  # noqa: E731
+        monkeypatch.setattr(tableaux, name, spy)
+    # wrong parity, then too far apart; a cap of 0 shows that nothing is produced
+    for start, shape, length in (((), (), 7), ((), (1,), 2), ((2,), (1, 1), 9), ((3,), (), 2)):
+        assert list(enumerate_ot(start, shape, length, max_output=0)) == []
+    assert calls == []
+    # the move table is built once per distinct partition: (), (1), (2) and (1,1)
+    assert len(list(enumerate_ot((), (), 4))) == 3
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_skew_scan_plain_slice():
