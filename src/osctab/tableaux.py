@@ -4,7 +4,8 @@ A walk of length l is a tuple of l+1 partitions in which consecutive
 entries differ by one box in either direction.  Walks starting at the
 empty partition are enumerated exactly, and their count and average
 weight are compared against closed forms; walks with a nonempty start
-are the skew variant, which only has enumerated data.
+are the skew variant, which has no closed form here: its weight
+profiles come from the walk DP in kernels, checked against enumeration.
 """
 
 from dataclasses import dataclass, field
@@ -237,14 +238,17 @@ def skew_denominator_scan(
     Covers every (start, shape, length) with the given size and length
     bounds whose walk set is nonempty, and reports the largest reduced
     denominator seen plus the first case, if any, whose denominator
-    exceeds 3.
+    exceeds 3.  One kernel pass per start yields the profiles of every
+    shape and length; cases are visited start, then shape, then length.
     """
     report = ScanReport(max_start_size, max_shape_size, max_length)
+    shapes = list(partitions_up_to(max_shape_size))
     for start in partitions_up_to(max_start_size):
-        for shape in partitions_up_to(max_shape_size):
+        profiles = kernels.ot_weight_profiles(start, shapes, max_length)
+        for shape in shapes:
             for length in range(max_length + 1):
-                profile = weight_profile(start, shape, length)
-                if not profile:
+                profile = profiles.get((shape, length))
+                if profile is None:
                     continue
                 count = sum(profile)
                 total = sum(w * c for w, c in enumerate(profile))

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb
 
-from . import diffposet, matchings, tableaux
+from . import diffposet, kernels, matchings, tableaux
 from .errors import OsctabError
 from .homomesy import (
     divisibility_check,
@@ -22,7 +22,8 @@ from .homomesy import (
     search_tableaux,
     tableau_items,
 )
-from .partitions import format_partition, num_syt, partitions_up_to, size
+from .laurent import LaurentPolynomial
+from .partitions import EMPTY, format_partition, num_syt, partitions_up_to, size
 
 
 @dataclass
@@ -127,11 +128,13 @@ def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
                     str(report.closed_form),
                 )
             )
-    for shape in partitions_up_to(3):
+    shapes = list(partitions_up_to(3))
+    profiles = kernels.ot_weight_profiles(EMPTY, shapes, 9)
+    for shape in shapes:
         k = size(shape)
         f_shape = num_syt(shape)
         for l in range(10):
-            gf = tableaux.weight_generating_function(shape, l)
+            gf = LaurentPolynomial(dict(enumerate(profiles.get((shape, l), []))))
             rows.append(
                 _row(
                     f"q[{k},0]({l}) * f vs walk gf, shape={format_partition(shape)}",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from osctab import kernels
 from osctab.matchings import enumerate_matchings, partner_array
-from osctab.partitions import conjugate
+from osctab.partitions import conjugate, partitions_up_to
 from osctab.tableaux import enumerate_ot, weight
 from osctab.util import double_factorial
 
@@ -29,6 +29,40 @@ def test_profile_equals_enumerated_weights(start, shape, length):
     assert kernels.ot_weight_profile(start, shape, length) == enumerated_profile(
         start, shape, length
     )
+
+
+# endpoints of size <= 4 keep the enumeration at length 10 small
+small_partition_st = st.sampled_from(list(partitions_up_to(4)))
+
+
+@given(
+    small_partition_st,
+    st.lists(small_partition_st, min_size=1, max_size=4),
+    st.integers(0, 10),
+)
+@settings(deadline=None, max_examples=25)
+def test_profiles_equal_enumerated_weights(start, shapes, max_length):
+    profiles = kernels.ot_weight_profiles(start, shapes, max_length)
+    assert all(profiles.values())
+    grid = {(shape, length) for shape in shapes for length in range(max_length + 1)}
+    assert set(profiles) <= grid
+    for shape, length in grid:
+        assert profiles.get((shape, length), []) == enumerated_profile(start, shape, length)
+
+
+def test_profile_mismatch_builds_no_layer(monkeypatch):
+    calls = []
+    for name in ("covers_up", "covers_down"):
+        real = getattr(kernels, name)
+        spy = lambda p, name=name, real=real: calls.append((name, p)) or real(p)  # noqa: E731
+        monkeypatch.setattr(kernels, name, spy)
+    # wrong parity, then too far apart
+    for start, shape, length in (((), (), 7), ((), (1,), 2), ((2,), (1, 1), 9), ((3,), (), 2)):
+        assert kernels.ot_weight_profile(start, shape, length) == []
+    assert calls == []
+    # moves are listed once per partition a walk leaves: (), (1), (2) and (1,1), not (2,1)
+    assert kernels.ot_weight_profile((), (2, 1), 3) == [0] * 6 + [2]
+    assert len(calls) == len(set(calls)) == 8
 
 
 @given(partition_st, partition_st, st.integers(0, 12))

@@ -5,10 +5,13 @@ from pathlib import Path
 import pytest
 
 from osctab import tableaux
+from osctab.cli import main
 from osctab.errors import BoundExceededError, EmptyEnumerationError
 from osctab.laurent import LaurentPolynomial
 from osctab.partitions import cover_distance, covers_down, covers_up, partitions_up_to, size
 from osctab.tableaux import (
+    ScanCase,
+    ScanReport,
     average_size_formula,
     average_weight_enumerated,
     average_weight_formula,
@@ -247,3 +250,45 @@ def test_scan_agrees_with_enumerated_averages():
         assert case.average == average_weight_enumerated(
             case.start, case.shape, case.length
         )
+
+
+def per_cell_scan(max_start_size, max_shape_size, max_length, keep_records=False):
+    """The scan with one profile per (start, shape, length) cell, kept as its oracle."""
+    report = ScanReport(max_start_size, max_shape_size, max_length)
+    for start in partitions_up_to(max_start_size):
+        for shape in partitions_up_to(max_shape_size):
+            for length in range(max_length + 1):
+                profile = weight_profile(start, shape, length)
+                if not profile:
+                    continue
+                count = sum(profile)
+                total = sum(w * c for w, c in enumerate(profile))
+                case = ScanCase(start, shape, length, count, Fraction(total, count))
+                report.cases += 1
+                if keep_records:
+                    report.records.append(case)
+                if case.denominator > report.max_denominator:
+                    report.max_denominator = case.denominator
+                    report.max_denominator_case = case
+                if case.denominator > 3 and report.witness_exceeding_3 is None:
+                    report.witness_exceeding_3 = case
+                if case.denominator not in (1, 3) and report.witness_not_dividing_3 is None:
+                    report.witness_not_dividing_3 = case
+    return report
+
+
+@pytest.mark.parametrize("grid", [(0, 0, 0), (2, 2, 4), (3, 3, 6), (3, 4, 9)])
+def test_scan_equals_the_per_cell_oracle(grid):
+    for keep_records in (False, True):
+        report = skew_denominator_scan(*grid, keep_records=keep_records)
+        assert report == per_cell_scan(*grid, keep_records=keep_records)
+    assert len(report.records) == report.cases
+
+
+def test_scan_command_bytes_equal_the_per_cell_oracle(capsys, monkeypatch):
+    argv = ["skew-scan", "--max-mu", "2", "--max-shape", "3", "--max-length", "6", "--records"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(tableaux, "skew_denominator_scan", per_cell_scan)
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out
