@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Iterable, Iterator
 
 from . import diffposet, homomesy, kernels, matchings, tableaux, verify
@@ -142,7 +142,7 @@ def cmd_enumerate(args) -> RunReport:
     )
     text = chain(
         [f'{{\n    "count": "{count}",\n    "walks": [' + ("\n" if count else "")],
-        _joined(walks, ",\n"),
+        _joined(([walk] for walk in walks), ",\n"),
         ["\n    ]\n  }" if count else "]\n  }"],
     )
     return RunReport(
@@ -277,26 +277,37 @@ def cmd_rs_roundtrip(args) -> RunReport:
     return RunReport("rs roundtrip", {"n": args.n}, outcome, {"checks": payload})
 
 
-# Rows per write: a JSON row is at most 203 bytes (n = 8), so a write stays under 13 KiB.
+# Rows per write, at least: a write holds whole scan batches (15 rows each
+# from n = 3 on), so at most 78 JSON rows of at most 203 bytes (n = 8), under 16 KiB.
 _ROWS_PER_WRITE = 64
 
 
-def _stats_rows(n: int) -> Iterator[tuple[str, int, int, int, str, int, int]]:
-    """The seven table columns of each matching of [2n], in enumerate_matchings order."""
-    areas: dict[str, int] = {}  # matchings.area once per distinct word, 1,430 at n = 8
-    for text, cr, ne, al, word in matchings.scan_matchings(n):
-        area = areas.get(word)
-        if area is None:
-            area = areas[word] = matchings.area(word)
-        yield text, cr, ne, al, word, area, matchings.weight_of_alignments(n, al)
+def _stats_rows(n: int) -> Iterator[list[tuple[str, int, int, int, str, int, int]]]:
+    """The seven table columns of each matching of [2n], in enumerate_matchings order.
+
+    One list per matchings.scan_matchings batch, so each is formatted in one go.
+    """
+    area = cache(matchings.area)  # once per distinct word, 1,430 at n = 8
+    weights = [matchings.weight_of_alignments(n, al) for al in range(n * (n - 1) // 2 + 1)]
+    for batch in matchings.scan_matchings(n):
+        yield [
+            (text, cr, ne, al, word, area(word), weights[al])
+            for text, cr, ne, al, word in batch
+        ]
 
 
-def _joined(rows: Iterator[str], sep: str) -> Iterator[str]:
-    """sep.join(rows), _ROWS_PER_WRITE rows at a time."""
+def _joined(batches: Iterable[list[str]], sep: str) -> Iterator[str]:
+    """sep.join of every row of the batches, whole batches of at least
+    _ROWS_PER_WRITE rows at a time (the last piece may hold fewer)."""
     lead = ""
-    while batch := list(islice(rows, _ROWS_PER_WRITE)):
-        yield lead + sep.join(batch)
-        lead = sep
+    group: list[str] = []
+    for batch in batches:
+        group += batch
+        if len(group) >= _ROWS_PER_WRITE:
+            yield lead + sep.join(group)
+            lead, group = sep, []
+    if group:
+        yield lead + sep.join(group)
 
 
 def cmd_stats(args) -> RunReport | None:
@@ -307,8 +318,11 @@ def cmd_stats(args) -> RunReport | None:
     # both formats stream: n = 8 means two million rows
     if args.format == "csv":
         lines = (
-            f"{text},{cr},{ne},{al},{word},{area},{wt}\n"
-            for text, cr, ne, al, word, area, wt in _stats_rows(args.n)
+            [
+                f"{text},{cr},{ne},{al},{word},{area},{wt}\n"
+                for text, cr, ne, al, word, area, wt in batch
+            ]
+            for batch in _stats_rows(args.n)
         )
         write = sys.stdout.write
         write("matching,cr,ne,al,dyck,area,wt\n")
@@ -317,10 +331,13 @@ def cmd_stats(args) -> RunReport | None:
         return None
     # matching and word texts hold only digits, '-' and ';', which JSON leaves unescaped
     rows = (
-        f'      {{\n        "matching": "{text}",\n        "cr": {cr},\n        "ne": {ne},\n'
-        f'        "al": {al},\n        "dyck": "{word}",\n        "area": {area},\n'
-        f'        "wt": {wt}\n      }}'
-        for text, cr, ne, al, word, area, wt in _stats_rows(args.n)
+        [
+            f'      {{\n        "matching": "{text}",\n        "cr": {cr},\n        "ne": {ne},\n'
+            f'        "al": {al},\n        "dyck": "{word}",\n        "area": {area},\n'
+            f'        "wt": {wt}\n      }}'
+            for text, cr, ne, al, word, area, wt in batch
+        ]
+        for batch in _stats_rows(args.n)
     )
     text = chain(['{\n    "rows": [\n'], _joined(rows, ",\n"), ["\n    ]\n  }"])
     return RunReport("stats", {"n": args.n}, "pass", Streamed(text))

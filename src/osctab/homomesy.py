@@ -20,10 +20,11 @@ from .errors import CoverageError, NotDivisibleByThreeError
 from .matchings import (
     conjugate_matching,
     conjugate_tableau,
-    enumerate_matchings,
+    enumerate_matchings,  # unused here, but perfbench/tracing.py wraps this binding
     format_matching,
     parse_matching,
-    stats,
+    scan_matchings,
+    stats,  # unused here, but perfbench/tracing.py wraps this binding
 )
 from .partitions import Partition, size
 from .tableaux import (
@@ -187,7 +188,9 @@ def tableau_items(shape: Partition, n: int) -> list[WeightedItem]:
 def matching_items(n: int) -> list[WeightedItem]:
     """All matchings of [2n], keyed by text form, valued by alignment count."""
     return [
-        (format_matching(m), stats(m).alignments) for m in enumerate_matchings(n)
+        (text.replace(";", ","), al)
+        for batch in scan_matchings(n)
+        for text, _, _, al, _ in batch
     ]
 
 

@@ -190,17 +190,20 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
         prefix_ok = True
         align_total = 0
         count = 0
+        word_sums: dict[str, tuple[int, int]] = {}  # (area, sum(a)) once per distinct word
         for m in matchings.enumerate_matchings(n):
             count += 1
             s = matchings.stats(m)
             word = matchings.dyck_of_matching(m)
-            word_area = matchings.area(word)
-            a, _ = matchings.prefix_stats(word)
+            if word not in word_sums:
+                a, _ = matchings.prefix_stats(word)
+                word_sums[word] = matchings.area(word), sum(a)
+            word_area, a_sum = word_sums[word]
             if s.crossings + s.nestings + s.alignments != comb(n, 2):
                 sum_ok = False
             if s.alignments != comb(n, 2) - word_area:
                 align_ok = False
-            if s.crossings + s.nestings != sum(a):
+            if s.crossings + s.nestings != a_sum:
                 prefix_ok = False
             align_total += s.alignments
         rows.append(_row(f"cr+ne+al = C(n,2), n={n}", sum_ok, True))

@@ -1,15 +1,17 @@
 from collections import Counter
+from itertools import chain
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from osctab import kernels
+from osctab import kernels, matchings
 from osctab.errors import (
     BoundExceededError,
     InvalidDyckWordError,
     ShapeMismatchError,
 )
+from osctab.homomesy import matching_items
 from osctab.matchings import (
     area,
     as_matching,
@@ -92,11 +94,51 @@ def test_scan_rows_equal_enumerated_stats(n):
         (format_matching(m, ";"), *kernels.matching_stats(partner_array(m)), dyck_of_matching(m))
         for m in enumerate_matchings(n)
     ]
-    assert list(scan_matchings(n)) == expected
+    assert list(chain.from_iterable(scan_matchings(n))) == expected
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_scan_batches_one_per_prefix(n):
+    batches = list(scan_matchings(n))
+    if n <= matchings.TAIL_PAIRS:
+        assert len(batches) == 1
+        return
+    assert {len(batch) for batch in batches} == {15}
+    for batch in batches:
+        prefixes = {text.rsplit(";", matchings.TAIL_PAIRS)[0] for text, *_ in batch}
+        assert len(prefixes) == 1
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_scan_builds_each_free_set_once(monkeypatch, n):
+    built = Counter()
+    completions = matchings._completions
+
+    def spy(free, size, tails):
+        built[free] += 1
+        return completions(free, size, tails)
+
+    monkeypatch.setattr(matchings, "_completions", spy)
+    tail_sets = set()
+    for m in enumerate_matchings(n):
+        used = {x for pair in m[: n - matchings.TAIL_PAIRS] for x in pair}
+        tail_sets.add(tuple(x for x in range(1, 2 * n + 1) if x not in used))
+    for _ in range(2):  # the tables live for one call
+        built.clear()
+        for _ in scan_matchings(n):
+            pass
+        assert set(built.values()) == {1}
+        assert {free for free in built if len(free) == 2 * matchings.TAIL_PAIRS} == tail_sets
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_matching_items_equal_enumerated_stats(n):
+    expected = [(format_matching(m), stats(m).alignments) for m in enumerate_matchings(n)]
+    assert matching_items(n) == expected
 
 
 def test_scan_distribution_equals_joint_dp():
-    counts = Counter((cr, ne, al) for _, cr, ne, al, _ in scan_matchings(7))
+    counts = Counter((cr, ne, al) for _, cr, ne, al, _ in chain.from_iterable(scan_matchings(7)))
     assert dict(counts) == kernels.joint_distribution_counts(7)
 
 
