@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator
 
 from . import diffposet, homomesy, kernels, matchings, tableaux, verify
@@ -142,7 +142,7 @@ def cmd_enumerate(args) -> RunReport:
     )
     text = chain(
         [f'{{\n    "count": "{count}",\n    "walks": [' + ("\n" if count else "")],
-        _joined(([walk] for walk in walks), ",\n"),
+        _joined(walks, ",\n"),
         ["\n    ]\n  }" if count else "]\n  }"],
     )
     return RunReport(
@@ -277,8 +277,7 @@ def cmd_rs_roundtrip(args) -> RunReport:
     return RunReport("rs roundtrip", {"n": args.n}, outcome, {"checks": payload})
 
 
-# Rows per write, at least: a write holds whole scan batches (15 rows each
-# from n = 3 on), so at most 78 JSON rows of at most 203 bytes (n = 8), under 16 KiB.
+# Rows per write: a JSON row is at most 203 bytes (n = 8), so a write stays under 13 KiB.
 _ROWS_PER_WRITE = 64
 
 
@@ -296,18 +295,12 @@ def _stats_rows(n: int) -> Iterator[list[tuple[str, int, int, int, str, int, int
         ]
 
 
-def _joined(batches: Iterable[list[str]], sep: str) -> Iterator[str]:
-    """sep.join of every row of the batches, whole batches of at least
-    _ROWS_PER_WRITE rows at a time (the last piece may hold fewer)."""
+def _joined(rows: Iterator[str], sep: str) -> Iterator[str]:
+    """sep.join(rows), _ROWS_PER_WRITE rows at a time."""
     lead = ""
-    group: list[str] = []
-    for batch in batches:
-        group += batch
-        if len(group) >= _ROWS_PER_WRITE:
-            yield lead + sep.join(group)
-            lead, group = sep, []
-    if group:
-        yield lead + sep.join(group)
+    while batch := list(islice(rows, _ROWS_PER_WRITE)):
+        yield lead + sep.join(batch)
+        lead = sep
 
 
 def cmd_stats(args) -> RunReport | None:
@@ -317,7 +310,7 @@ def cmd_stats(args) -> RunReport | None:
         )
     # both formats stream: n = 8 means two million rows
     if args.format == "csv":
-        lines = (
+        lines = chain.from_iterable(
             [
                 f"{text},{cr},{ne},{al},{word},{area},{wt}\n"
                 for text, cr, ne, al, word, area, wt in batch
@@ -330,7 +323,7 @@ def cmd_stats(args) -> RunReport | None:
             write(chunk)
         return None
     # matching and word texts hold only digits, '-' and ';', which JSON leaves unescaped
-    rows = (
+    rows = chain.from_iterable(
         [
             f'      {{\n        "matching": "{text}",\n        "cr": {cr},\n        "ne": {ne},\n'
             f'        "al": {al},\n        "dyck": "{word}",\n        "area": {area},\n'

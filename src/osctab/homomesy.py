@@ -20,11 +20,10 @@ from .errors import CoverageError, NotDivisibleByThreeError
 from .matchings import (
     conjugate_matching,
     conjugate_tableau,
-    enumerate_matchings,  # unused here, but perfbench/tracing.py wraps this binding
+    enumerate_matchings,
     format_matching,
     parse_matching,
-    scan_matchings,
-    stats,  # unused here, but perfbench/tracing.py wraps this binding
+    stats,
 )
 from .partitions import Partition, size
 from .tableaux import (
@@ -188,9 +187,7 @@ def tableau_items(shape: Partition, n: int) -> list[WeightedItem]:
 def matching_items(n: int) -> list[WeightedItem]:
     """All matchings of [2n], keyed by text form, valued by alignment count."""
     return [
-        (text.replace(";", ","), al)
-        for batch in scan_matchings(n)
-        for text, _, _, al, _ in batch
+        (format_matching(m), stats(m).alignments) for m in enumerate_matchings(n)
     ]
 
 
