@@ -10,7 +10,6 @@ from .errors import (
     PartitionParseError,
     ShapeMismatchError,
 )
-from .kernels import BACKEND
 from .laurent import LaurentPolynomial
 from .partitions import (
     EMPTY,
@@ -47,7 +46,6 @@ from .diffposet import (
     b_value,
     c_value,
     commutator_check,
-    power_ud_coefficient,
     q_table,
     ud_straighten_check,
     verify_key_identity,

@@ -160,10 +160,15 @@ def cmd_enumerate(args) -> RunReport:
 def cmd_avg_weight(args) -> RunReport:
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
-    if args.length is not None:
-        length = args.length
-    elif args.n is not None:
+    if args.n is not None:
         length = size(shape) - size(start) + 2 * args.n
+        if args.length is not None and args.length != length:
+            raise OsctabError(
+                f"--length {args.length} does not match --n {args.n}: "
+                f"|shape| - |mu| + 2n = {length}"
+            )
+    elif args.length is not None:
+        length = args.length
     else:
         raise OsctabError("provide --length or --n")
     enumerated = tableaux.average_weight_enumerated(start, shape, length)
@@ -213,9 +218,7 @@ def cmd_b_table(args) -> None:
         for i in range(l + 1):
             if (l - i) % 2:
                 continue
-            lines.append(
-                f"{i},{l},{diffposet.b_value(i, l)},{diffposet.c_value(i, l, 'derivative', table)}"
-            )
+            lines.append(f"{i},{l},{diffposet.b_value(i, l)},{table.c(i, 0, l)}")
     print("\n".join(lines))
 
 

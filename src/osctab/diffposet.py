@@ -13,11 +13,9 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Union
 
-from . import kernels
 from .errors import BoundExceededError
 from .laurent import LaurentPolynomial
 from .partitions import (
-    EMPTY,
     Partition,
     cover_distance,  # unused here, but perfbench/tracing.py wraps this binding
     covers_down,
@@ -28,7 +26,6 @@ from .util import double_factorial
 
 FormalSum = dict[Partition, int]
 
-DEFAULT_POWER_BOUND = 14
 DEFAULT_TABLE_BOUND = 16
 
 
@@ -101,19 +98,6 @@ def ud_straighten_check(i: int, bound: int) -> bool:
     return True
 
 
-def power_ud_coefficient(partition: Partition, length: int) -> int:
-    """Coefficient of the partition in (U + D)^length applied to the empty one.
-
-    That coefficient counts the length-`length` walks from the empty
-    partition to this one, which the walk-profile kernel totals.
-    """
-    if length > DEFAULT_POWER_BOUND:
-        raise BoundExceededError(
-            f"length {length} exceeds the configured bound {DEFAULT_POWER_BOUND}"
-        )
-    return sum(kernels.ot_weight_profile(EMPTY, partition, length))
-
-
 class CoeffTable:
     """Laurent-polynomial coefficients q[i, j](l) of the weighted expansion.
 
@@ -173,21 +157,15 @@ def b_value(i: int, l: int) -> int:
     return comb(l, i) * double_factorial(l - i - 1)
 
 
-def c_value(i: int, l: int, via: str = "derivative", table: "CoeffTable | None" = None) -> int:
-    """Weighted coefficient c[i, 0](l), by either computation path.
+def c_value(i: int, l: int) -> int:
+    """Weighted coefficient c[i, 0](l) by the integer recurrence
 
-    via="derivative" reads the Laurent table; via="recurrence" runs the
-    integer recurrence
         c[i, 0](l+1) = c[i-1, 0](l) + (i+1) c[i+1, 0](l)
                        + i b[i-1, 0](l) + i(i+1) b[i+1, 0](l)
-    against the closed form for b.  Both must agree.
+
+    against the closed form for b.  It must agree with CoeffTable.c(i, 0, l),
+    the derivative route.
     """
-    if via == "derivative":
-        if table is None:
-            table = q_table(l)
-        return table.c(i, 0, l)
-    if via != "recurrence":
-        raise ValueError(f"unknown computation path {via!r}")
     prev: dict[int, int] = {}  # c[i, 0](0) = 0 for every i
     for step in range(l):
         cur: dict[int, int] = {}
@@ -210,8 +188,6 @@ class KeyIdentityReport:
 
     k: int
     n: int
-    c_coefficient: int
-    b_coefficient: int
     ratio: Fraction
     closed_form: Fraction
 
@@ -220,13 +196,12 @@ class KeyIdentityReport:
         return self.ratio == self.closed_form
 
 
-def verify_key_identity(k: int, n: int, table: "CoeffTable | None" = None) -> KeyIdentityReport:
-    """Check c[k,0](k+2n) / b[k,0](k+2n) = (2n+k+1)(2n+3k) / 6 exactly."""
+def verify_key_identity(k: int, n: int, table: CoeffTable) -> KeyIdentityReport:
+    """Check c[k,0](k+2n) / b[k,0](k+2n) = (2n+k+1)(2n+3k) / 6 exactly.
+
+    The table must reach l = k + 2n.
+    """
     l = k + 2 * n
-    if table is None:
-        table = q_table(l)
-    c_val = table.c(k, 0, l)
-    b_val = table.b(k, 0, l)
-    ratio = Fraction(c_val, b_val)
+    ratio = Fraction(table.c(k, 0, l), table.b(k, 0, l))
     closed = Fraction((2 * n + k + 1) * (2 * n + 3 * k), 6)
-    return KeyIdentityReport(k, n, c_val, b_val, ratio, closed)
+    return KeyIdentityReport(k, n, ratio, closed)

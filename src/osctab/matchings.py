@@ -45,9 +45,9 @@ def parse_matching(text: str) -> PerfectMatching:
     return as_matching(pairs)
 
 
-def format_matching(matching: PerfectMatching, pair_sep: str = ",") -> str:
-    """Canonical text form; pass pair_sep=";" for the CSV-safe variant."""
-    return pair_sep.join(f"{a}-{b}" for a, b in matching)
+def format_matching(matching: PerfectMatching) -> str:
+    """Canonical text form "a-b,c-d,...", the inverse of parse_matching."""
+    return ",".join(f"{a}-{b}" for a, b in matching)
 
 
 def enumerate_matchings(n: int) -> Iterator[PerfectMatching]:
@@ -85,10 +85,11 @@ def scan_matchings(n: int) -> Iterator[list[ScanRow]]:
 
     Yields one batch of rows per prefix of n - TAIL_PAIRS pairs (a single
     batch when n <= TAIL_PAIRS).  A row is (text, cr, ne, al, word) where
-    text is format_matching(m, ";"), (cr, ne, al) is
-    kernels.matching_stats(partner_array(m)) and word is
-    dyck_of_matching(m).  The pairing is enumerate_matchings' depth-first
-    one, and each row is carried down it at O(1) per pair (_pairs).
+    text is format_matching(m) with ";" between pairs, so that it stays
+    one CSV column, (cr, ne, al) is kernels.matching_stats(partner_array(m))
+    and word is dyck_of_matching(m).  The pairing is enumerate_matchings'
+    depth-first one, and each row is carried down it at O(1) per pair
+    (_pairs).
 
     Those increments depend only on the free set, so the last TAIL_PAIRS
     pairs are not walked per prefix: the completions of each distinct
@@ -97,8 +98,7 @@ def scan_matchings(n: int) -> Iterator[list[ScanRow]]:
     At n = 7, 9,009 prefixes share 210 six-element sets (364 sets with
     the smaller ones the tables are built from); at n = 8, 135,135
     prefixes share 462 (708).  On one Xeon core with Python 3.11, `stats`
-    computes its rows in about 0.2 s at n = 7 and 4 s at n = 8 (0.7 s and
-    11 s when every leaf was walked).
+    computes its rows in about 0.2 s at n = 7 and 4 s at n = 8.
     """
     if n > MAX_MATCHING_N:
         raise BoundExceededError(f"n = {n} exceeds the configured bound {MAX_MATCHING_N}")

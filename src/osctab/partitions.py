@@ -15,6 +15,8 @@ Partition = tuple[int, ...]
 
 EMPTY: Partition = ()
 
+MAX_SYT_SIZE = 12  # largest diagram enumerate_syt fills
+
 
 def as_partition(parts: Sequence[int]) -> Partition:
     """Normalize a part sequence to a valid partition tuple.
@@ -134,7 +136,7 @@ def num_syt(partition: Partition) -> int:
     return quotient
 
 
-def enumerate_syt(partition: Partition, max_size: int = 12) -> Iterator[tuple[tuple[int, ...], ...]]:
+def enumerate_syt(partition: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every standard filling of the diagram as a tuple of rows.
 
     Entries 1..n are placed one at a time; entry v may extend row i when
@@ -142,8 +144,8 @@ def enumerate_syt(partition: Partition, max_size: int = 12) -> Iterator[tuple[tu
     hook-length count, which it serves as a brute-force check for.
     """
     n = size(partition)
-    if n > max_size:
-        raise BoundExceededError(f"|partition| = {n} exceeds the configured bound {max_size}")
+    if n > MAX_SYT_SIZE:
+        raise BoundExceededError(f"|partition| = {n} exceeds the configured bound {MAX_SYT_SIZE}")
     rows = len(partition)
     filling: list[list[int]] = [[] for _ in range(rows)]
 

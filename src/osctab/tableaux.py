@@ -69,19 +69,15 @@ def parse_tableau(text: str) -> OscillatingTableau:
     return steps
 
 
-def enumerate_ot(
-    start: Partition,
-    shape: Partition,
-    length: int,
-    max_output: Optional[int] = None,
-) -> Iterator[OscillatingTableau]:
+def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
     """Yield all length-`length` walks from start to shape, depth-first.
 
     At every step the single-box growths come first (largest part first)
     and the single-box removals after (top row first), which fixes a
     reproducible total order on the output.  Raises BoundExceededError
-    once more than max_output walks (default from OSCTAB_MAX_ENUM) have
-    been produced; the walk (start,) of length 0 counts too.
+    once more than util.max_enumeration_size() walks have been produced;
+    the walk (start,) of length 0 counts too.  That cap, set by the
+    OSCTAB_MAX_ENUM environment variable, is the only enumeration cap.
 
     One loop walks an explicit stack of move iterators, one per entry of
     the current path.  A move table built for this call lists, once per
@@ -91,7 +87,7 @@ def enumerate_ot(
     iterator), and afterwards a move is taken exactly when its distance
     is at most the steps left after it.
     """
-    cap = max_enumeration_size() if max_output is None else max_output
+    cap = max_enumeration_size()
     distance = cover_distance(start, shape)
     if distance > length or (length - distance) % 2:
         return
@@ -212,9 +208,6 @@ class ScanCase:
 class ScanReport:
     """Outcome of scanning skew average-weight denominators over a grid."""
 
-    max_start_size: int
-    max_shape_size: int
-    max_length: int
     cases: int = 0
     max_denominator: int = 1
     max_denominator_case: Optional[ScanCase] = None
@@ -241,7 +234,7 @@ def skew_denominator_scan(
     exceeds 3.  One kernel pass per start yields the profiles of every
     shape and length; cases are visited start, then shape, then length.
     """
-    report = ScanReport(max_start_size, max_shape_size, max_length)
+    report = ScanReport()
     shapes = list(partitions_up_to(max_shape_size))
     for start in partitions_up_to(max_start_size):
         profiles = kernels.ot_weight_profiles(start, shapes, max_length)

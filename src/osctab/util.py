@@ -2,6 +2,8 @@
 
 import os
 
+DEFAULT_MAX_ENUM = 10**7  # enumeration cap when OSCTAB_MAX_ENUM is unset
+
 
 def double_factorial(m: int) -> int:
     """Product m * (m-2) * (m-4) * ... ending at 1 or 2; equals 1 for m in {-1, 0}.
@@ -18,11 +20,11 @@ def double_factorial(m: int) -> int:
     return result
 
 
-def max_enumeration_size(default: int = 10**7) -> int:
+def max_enumeration_size() -> int:
     """Global cap on enumeration output size, from OSCTAB_MAX_ENUM."""
     raw = os.environ.get("OSCTAB_MAX_ENUM")
     if raw is None:
-        return default
+        return DEFAULT_MAX_ENUM
     try:
         value = int(raw)
     except ValueError as exc:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from osctab import matchings
+from osctab import diffposet, matchings
 from osctab.cli import main
 from osctab.partitions import format_partition, parse_partition
 from osctab.tableaux import enumerate_ot
@@ -135,6 +135,16 @@ def test_avg_weight_skew(capsys):
     assert "formula" not in payload["details"]
 
 
+@pytest.mark.parametrize(
+    "mu, shape, n, length", [("-", "-", "2", "4"), ("-", "2,1", "2", "7"), ("1", "1", "1", "2")]
+)
+def test_avg_weight_consistent_n_and_length(capsys, mu, shape, n, length):
+    argv = ("avg-weight", "--mu", mu, "--shape", shape, "--n", n)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--length", length) == (0, out, "")
+
+
 def test_avg_weight_empty_set_error(capsys):
     code, _, err = run_cli(capsys, "avg-weight", "--shape", "1", "--length", "2")
     assert code == 2
@@ -183,7 +193,7 @@ def stats_rows_oracle(n):
         s = matchings.stats(m)
         word = matchings.dyck_of_matching(m)
         yield {
-            "matching": matchings.format_matching(m, pair_sep=";"),
+            "matching": matchings.format_matching(m).replace(",", ";"),
             "cr": s.crossings,
             "ne": s.nestings,
             "al": s.alignments,
@@ -281,6 +291,17 @@ def test_diffposet_tables_csv(capsys):
     code, out2, _ = run_cli(capsys, "diffposet", "c-table", "--lmax", "4")
     assert code == 0
     assert out2 == out
+
+
+def test_diffposet_b_table_equals_closed_form_and_recurrence(capsys):
+    code, out, _ = run_cli(capsys, "diffposet", "b-table", "--lmax", "16")
+    assert code == 0
+    rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert [(i, l) for i, l, _, _ in rows] == [
+        (i, l) for l in range(17) for i in range(l + 1) if (l - i) % 2 == 0
+    ]
+    for i, l, b, c in rows:
+        assert (b, c) == (diffposet.b_value(i, l), diffposet.c_value(i, l))
 
 
 def test_diffposet_verify_eq1(capsys):
@@ -480,6 +501,8 @@ def test_timing_flag_leaves_csv_alone(capsys, argv, header):
         (("rs", "forward", "--matching", "1-1"), "error: "),
         # an OsctabError (PartitionParseError)
         (("count", "--shape", "1,2", "--n", "1"), "weakly decreasing"),
+        # --n 2 means length 4 here, so length 6 contradicts it
+        (("avg-weight", "--shape", "-", "--n", "2", "--length", "6"), "does not match"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):

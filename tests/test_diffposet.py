@@ -8,7 +8,6 @@ from osctab.diffposet import (
     b_value,
     c_value,
     commutator_check,
-    power_ud_coefficient,
     q_table,
     ud_straighten_check,
     verify_key_identity,
@@ -16,7 +15,7 @@ from osctab.diffposet import (
 from osctab.errors import BoundExceededError
 from osctab.laurent import LaurentPolynomial
 from osctab.partitions import num_syt, partitions_up_to, size
-from osctab.tableaux import count_formula, weight_generating_function
+from osctab.tableaux import weight_generating_function
 
 
 def test_apply_u_examples():
@@ -40,26 +39,6 @@ def test_straighten_identities():
     assert ud_straighten_check(0, 8)
     assert ud_straighten_check(1, 8)
     assert ud_straighten_check(3, 6)
-
-
-def test_power_ud_examples():
-    assert power_ud_coefficient((), 0) == 1
-    assert power_ud_coefficient((), 4) == 3
-    assert power_ud_coefficient((2, 1), 5) == 20
-
-
-def test_power_ud_matches_count_formula():
-    for shape in partitions_up_to(4):
-        for n in range(4):
-            length = size(shape) + 2 * n
-            if length > 12:
-                continue
-            assert power_ud_coefficient(shape, length) == count_formula(shape, n)
-
-
-def test_power_ud_bound():
-    with pytest.raises(BoundExceededError):
-        power_ud_coefficient((), 15)
 
 
 def test_q_table_entries():
@@ -121,12 +100,7 @@ def test_c_value_both_paths_agree():
     table = q_table(12)
     for l in range(13):
         for i in range(7):
-            assert c_value(i, l, "derivative", table) == c_value(i, l, "recurrence")
-
-
-def test_c_value_rejects_unknown_path():
-    with pytest.raises(ValueError):
-        c_value(0, 2, via="guesswork")
+            assert table.c(i, 0, l) == c_value(i, l)
 
 
 def test_c_times_f_is_total_weight():
@@ -142,11 +116,12 @@ def test_c_times_f_is_total_weight():
 
 
 def test_key_identity_examples():
-    r = verify_key_identity(0, 1)
+    table = q_table(4)
+    r = verify_key_identity(0, 1, table)
     assert r.passed and r.ratio == Fraction(1)
-    r = verify_key_identity(0, 2)
+    r = verify_key_identity(0, 2, table)
     assert r.passed and r.ratio == Fraction(10, 3)
-    r = verify_key_identity(0, 0)
+    r = verify_key_identity(0, 0, table)
     assert r.passed and r.ratio == 0
 
 

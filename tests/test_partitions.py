@@ -143,7 +143,7 @@ def test_num_syt_matches_enumeration():
 
 def test_enumerate_syt_bound():
     with pytest.raises(BoundExceededError):
-        list(enumerate_syt((7, 6), max_size=12))
+        list(enumerate_syt((7, 6)))
 
 
 def test_syt_squares_sum_to_factorial():

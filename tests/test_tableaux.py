@@ -154,9 +154,10 @@ def test_profile_matches_enumeration_histogram():
                 assert {w: c for w, c in enumerate(profile) if c} == histogram
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "10")
     with pytest.raises(BoundExceededError):
-        list(enumerate_ot((), (), 8, max_output=10))
+        list(enumerate_ot((), (), 8))
 
 
 def recursive_enumerate_ot(start, shape, length):
@@ -189,17 +190,18 @@ def test_enumeration_order_equals_the_recursive_oracle():
     assert cases == 309
 
 
-def test_enumeration_cap_edges():
-    # the single walk of length 0 counts against the cap
-    with pytest.raises(BoundExceededError):
-        list(enumerate_ot((1,), (1,), 0, max_output=0))
-    assert list(enumerate_ot((1,), (1,), 0, max_output=1)) == [((1,),)]
+def test_enumeration_cap_edges(monkeypatch):
+    # the single walk of length 0 fits the smallest cap
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "1")
+    assert list(enumerate_ot((1,), (1,), 0)) == [((1,),)]
     for start, shape, length in (((), (), 6), ((1,), (2, 1), 4), ((2,), (1,), 3)):
         count = len(list(recursive_enumerate_ot(start, shape, length)))
         assert count > 1
-        assert len(list(enumerate_ot(start, shape, length, max_output=count))) == count
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(count))
+        assert len(list(enumerate_ot(start, shape, length))) == count
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(count - 1))
         with pytest.raises(BoundExceededError):
-            list(enumerate_ot(start, shape, length, max_output=count - 1))
+            list(enumerate_ot(start, shape, length))
 
 
 def test_unreachable_endpoints_yield_nothing_without_a_search(monkeypatch):
@@ -208,9 +210,9 @@ def test_unreachable_endpoints_yield_nothing_without_a_search(monkeypatch):
         real = getattr(tableaux, name)
         spy = lambda p, name=name, real=real: calls.append((name, p)) or real(p)  # noqa: E731
         monkeypatch.setattr(tableaux, name, spy)
-    # wrong parity, then too far apart; a cap of 0 shows that nothing is produced
+    # wrong parity, then too far apart
     for start, shape, length in (((), (), 7), ((), (1,), 2), ((2,), (1, 1), 9), ((3,), (), 2)):
-        assert list(enumerate_ot(start, shape, length, max_output=0)) == []
+        assert list(enumerate_ot(start, shape, length)) == []
     assert calls == []
     # the move table is built once per distinct partition: (), (1), (2) and (1,1)
     assert len(list(enumerate_ot((), (), 4))) == 3
@@ -254,7 +256,7 @@ def test_scan_agrees_with_enumerated_averages():
 
 def per_cell_scan(max_start_size, max_shape_size, max_length, keep_records=False):
     """The scan with one profile per (start, shape, length) cell, kept as its oracle."""
-    report = ScanReport(max_start_size, max_shape_size, max_length)
+    report = ScanReport()
     for start in partitions_up_to(max_start_size):
         for shape in partitions_up_to(max_shape_size):
             for length in range(max_length + 1):
