@@ -7,8 +7,10 @@ exists.  Every search is one deterministic first-solution search over
 how many items carry each value (kernels.triple_search, the
 "value-count" engine), bounded by a node budget and an optional clock
 budget; it reports a certificate, a proof of infeasibility (the space
-was exhausted), or budget exhaustion, and never claims more.  A
-certificate is reported only after homomesy_verify accepts it.
+was exhausted), or budget exhaustion, and never claims more.  The
+kernel names each outcome as reports print it (kernels.STATUS_*), and
+the result carries that name unchanged.  A certificate is reported
+only after homomesy_verify accepts it.
 """
 
 import time
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import kernels
-from .errors import CoverageError, NotDivisibleByThreeError
+from .errors import CoverageError, NotDivisibleByThreeError, ShapeMismatchError
 from .matchings import (
     conjugate_matching,
     conjugate_tableau,
@@ -25,7 +27,7 @@ from .matchings import (
     parse_matching,
     stats,
 )
-from .partitions import Partition, size
+from .partitions import Partition, conjugate, format_partition, size
 from .tableaux import (
     count_formula,
     enumerate_ot,
@@ -52,71 +54,50 @@ class TriplePartition:
 class SearchResult:
     """Outcome of a triple-partition search run."""
 
-    status: str  # "certificate" | "infeasible" | "budget-exhausted"
+    status: str  # kernels.STATUS_*: "certificate" | "infeasible" | "budget-exhausted"
     partition: Optional[TriplePartition]
     nodes: int
     elapsed: float
-    target: int = 0
-    item_count: int = 0
+    target: int
+    item_count: int
 
     @property
     def found(self) -> bool:
-        return self.status == "certificate"
-
-
-_STATUS_NAMES = {
-    kernels.STATUS_FOUND: "certificate",
-    kernels.STATUS_INFEASIBLE: "infeasible",
-    kernels.STATUS_BUDGET: "budget-exhausted",
-}
-
-
-def _check_items(items: Sequence[WeightedItem]) -> None:
-    if len(items) % 3:
-        raise NotDivisibleByThreeError(
-            f"{len(items)} items cannot be split into triples"
-        )
-    identifiers = [identifier for identifier, _ in items]
-    if len(set(identifiers)) != len(identifiers):
-        raise ValueError("item identifiers must be distinct")
-
-
-def _mate_indices(
-    items: Sequence[WeightedItem], mate: Optional[dict[str, str]]
-) -> Optional[list[int]]:
-    if mate is None:
-        return None
-    index = {identifier: i for i, (identifier, _) in enumerate(items)}
-    out = []
-    for identifier, _ in items:
-        out.append(index[mate.get(identifier, identifier)])
-    for i, j in enumerate(out):
-        if out[j] != i:
-            raise ValueError("mate mapping must be an involution on the item set")
-    return out
+        return self.status == kernels.STATUS_FOUND
 
 
 def triple_partition_search(
     items: Sequence[WeightedItem],
     target: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: float = DEFAULT_TIME_BUDGET,
-    mate: Optional[dict[str, str]] = None,
+    node_budget: int,
+    time_budget: float,
+    mate: Optional[dict[str, str]],
 ) -> SearchResult:
     """Partition the items into triples of value sum `target`, if possible.
 
-    The search is deterministic: identical input yields the identical
-    certificate and node count.  It stops after `node_budget` attempted
-    triples, or after `time_budget` seconds when that is positive; a
-    budget-exhausted result reports the nodes it attempted, at most
-    `node_budget`.  Raises RuntimeError if homomesy_verify rejects the
-    certificate the kernel returned.
+    With a `mate` mapping only triples closed under it are allowed; an
+    identifier it leaves out is its own mate.  Raises ValueError when the
+    identifiers repeat, or when the mapping leads outside the item set or
+    is not an involution.  The search is deterministic: identical input
+    yields the identical certificate and node count.  It stops after
+    `node_budget` attempted triples, or after `time_budget` seconds when
+    that is positive; a budget-exhausted result reports the nodes it
+    attempted, at most `node_budget`.  Raises RuntimeError if
+    homomesy_verify rejects the certificate the kernel returned.
     """
-    _check_items(items)
+    if len(items) % 3:
+        raise NotDivisibleByThreeError(f"{len(items)} items cannot be split into triples")
+    index = {identifier: i for i, (identifier, _) in enumerate(items)}
+    if len(index) != len(items):
+        raise ValueError("item identifiers must be distinct")
+    mates = None
+    if mate is not None:
+        mates = [index.get(mate.get(identifier, identifier)) for identifier in index]
+        if any(j is None or mates[j] != i for i, j in enumerate(mates)):
+            raise ValueError("mate mapping must be an involution on the item set")
     start_time = time.monotonic()
-    values = [value for _, value in items]
     status, triples, nodes = kernels.triple_search(
-        values, target, node_budget, time_budget, _mate_indices(items, mate)
+        [value for _, value in items], target, node_budget, time_budget, mates
     )
     elapsed = time.monotonic() - start_time
     partition = None
@@ -130,9 +111,7 @@ def triple_partition_search(
             verified = False
         if not verified:
             raise RuntimeError("the search returned a certificate that homomesy_verify rejects")
-    return SearchResult(
-        _STATUS_NAMES[status], partition, nodes, elapsed, target, len(items)
-    )
+    return SearchResult(status, partition, nodes, elapsed, target, len(items))
 
 
 def homomesy_verify(partition: TriplePartition, items: Sequence[WeightedItem]) -> bool:
@@ -195,7 +174,7 @@ def _search_set(
     items: list[WeightedItem],
     noun: str,
     target: Callable[[], int],
-    conjugate: Callable[[str], str],
+    conjugate_text: Callable[[str], str],
     node_budget: int,
     time_budget: float,
     conjugation_closed: bool,
@@ -207,7 +186,7 @@ def _search_set(
         )
     mate = None
     if conjugation_closed:
-        mate = {identifier: conjugate(identifier) for identifier, _ in items}
+        mate = {identifier: conjugate_text(identifier) for identifier, _ in items}
     return triple_partition_search(items, target(), node_budget, time_budget, mate)
 
 
@@ -222,7 +201,15 @@ def search_tableaux(
 
     With conjugation_closed=True only triples closed under stepwise
     conjugation of the walks are allowed (an exploratory restriction).
+    Conjugation maps the walks to `shape` onto the walks to its
+    conjugate, so that needs a self-conjugate shape; any other raises
+    ShapeMismatchError before a walk is enumerated.
     """
+    if conjugation_closed and (dual := conjugate(shape)) != tuple(shape):
+        raise ShapeMismatchError(
+            "a conjugation-closed search needs a self-conjugate shape; "
+            f"{format_partition(shape)} has conjugate {format_partition(dual)}"
+        )
     return _search_set(
         tableau_items(shape, n),
         "walks",

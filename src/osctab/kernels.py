@@ -21,12 +21,16 @@ ot_weight_profiles(start, shapes, L)
                                       for every shape in shapes and 0 <= l <= L, from
                                       one pass; a pair with no walk has no key
 triple_search(values, target, node_budget, time_budget, mate)
-                                   -> (status, triples, nodes); status 0 found,
-                                      1 infeasible, 2 budget exhausted; triples
+                                   -> (status, triples, nodes); status is the
+                                      report name STATUS_FOUND "certificate",
+                                      STATUS_INFEASIBLE "infeasible" or
+                                      STATUS_BUDGET "budget-exhausted"; triples
                                       are index triples (each ascending, in
                                       ascending order) when found, else empty;
                                       nodes counts the triples attempted, at most
-                                      node_budget; time_budget <= 0 means no clock
+                                      node_budget; time_budget <= 0 means no clock;
+                                      mate is required: an involution on indices,
+                                      or None for no closure constraint
 """
 
 import time
@@ -37,9 +41,10 @@ from .partitions import cover_distance, covers_down, covers_up
 BACKEND = "pure"  # the benchmark records it with every result
 SEARCH_ENGINE = "value-count"  # named in every homomesy report
 
-STATUS_FOUND = 0
-STATUS_INFEASIBLE = 1
-STATUS_BUDGET = 2
+# search outcomes, named as reports print them
+STATUS_FOUND = "certificate"
+STATUS_INFEASIBLE = "infeasible"
+STATUS_BUDGET = "budget-exhausted"
 
 _TIME_CHECK_MASK = 0xFFF
 # count vectors the triple search remembers as dead, about 80 MB of them;
@@ -172,15 +177,15 @@ def triple_search(
     target: int,
     node_budget: int,
     time_budget: float,
-    mate: Sequence[int] | None = None,
-) -> tuple[int, list[tuple[int, int, int]], int]:
+    mate: Sequence[int] | None,
+) -> tuple[str, list[tuple[int, int, int]], int]:
     """First-solution search partitioning indices into value-sum-`target` triples.
 
-    Without `mate` only how many items carry each value matters, so the
+    With mate None only how many items carry each value matters, so the
     search runs over that count vector (_value_triples) and lifts the
     value triples it finds back to indices, each value class handing out
     its lowest free indices first; the certificate and the node count are
-    therefore deterministic.  With `mate` (an involution on indices) only
+    therefore deterministic.  With a mate (an involution on indices) only
     triples closed under it are allowed.  Such a triple is three fixed
     points or one fixed point with a mate pair, so each pair {i, mate[i]}
     first takes a fixed point of value target - values[i] - values[mate[i]]

@@ -7,6 +7,7 @@ with both sides rendered so a failure is self-describing.  The CLI
 
 from dataclasses import dataclass
 from fractions import Fraction
+from inspect import signature
 from itertools import permutations
 from math import comb
 
@@ -352,17 +353,9 @@ SUITES = {
 }
 
 
-# The range overrides each suite takes.  Kept apart from SUITES because
-# callers may replace those functions with wrappers of another signature.
-SUITE_OVERRIDES = {
-    "count": ("kmax", "nmax"),
-    "weight": ("kmax", "nmax"),
-    "diffposet": ("kmax", "nmax"),
-    "rs": ("nmax",),
-    "stats": ("nmax",),
-    "homomesy": (),
-    "skew": (),
-}
+# The range overrides each suite takes, read from the signatures here,
+# before any caller replaces a function in SUITES with a wrapper.
+SUITE_OVERRIDES = {name: tuple(signature(suite).parameters) for name, suite in SUITES.items()}
 
 
 def run_suite(name: str, kmax: int | None = None, nmax: int | None = None) -> list[CheckRow]:

@@ -178,6 +178,11 @@ def test_stats_bound(capsys):
     code, _, err = run_cli(capsys, "stats", "--n", "9")
     assert code == 2
     assert "bound" in err
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "stats", "--n", "9", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n = 9 exceeds the configured bound 8\n"
 
 
 def test_stats_json(capsys):
@@ -379,6 +384,17 @@ def test_homomesy_divisibility_error(capsys):
     code, _, err = run_cli(capsys, "homomesy", "--target-set", "matchings", "--n", "1")
     assert code == 2
     assert "n >= 2" in err
+
+
+@pytest.mark.parametrize("shape", ["2", "1,1"])
+def test_homomesy_conjugation_closed_needs_a_self_conjugate_shape(capsys, shape):
+    code, out, err = run_cli(
+        capsys, "homomesy", "--target-set", "tableaux", "--shape", shape, "--n", "2",
+        "--conjugation-closed",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "self-conjugate" in err
 
 
 def test_homomesy_budget_exhausted_exit(capsys):

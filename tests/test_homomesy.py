@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osctab import kernels
-from osctab.errors import CoverageError, NotDivisibleByThreeError
+from osctab import homomesy, kernels
+from osctab.errors import CoverageError, NotDivisibleByThreeError, OsctabError
 from osctab.homomesy import (
     TriplePartition,
     divisibility_check,
@@ -50,14 +50,18 @@ def test_divisibility_examples():
 
 
 def test_search_single_triple():
-    result = triple_partition_search(items_of([0, 0, 1]), 1)
+    result = triple_partition_search(
+        items_of([0, 0, 1]), 1, node_budget=10**8, time_budget=60.0, mate=None
+    )
     assert result.found
     assert result.partition.triples == [("x0", "x1", "x2")]
     assert homomesy_verify(result.partition, items_of([0, 0, 1]))
 
 
 def test_search_sum_mismatch_is_immediately_infeasible():
-    result = triple_partition_search(items_of([0, 0, 0]), 1)
+    result = triple_partition_search(
+        items_of([0, 0, 0]), 1, node_budget=10**8, time_budget=60.0, mate=None
+    )
     assert result.status == "infeasible"
     assert result.nodes == 0
 
@@ -86,7 +90,9 @@ def test_search_exhausts_to_infeasible():
     # totals agree (12 = 2 * 6) but no triple of {1,1,1,3,3,3} sums to 6
     values = [1, 1, 1, 3, 3, 3]
     assert not brute_feasible(values, 6)
-    result = triple_partition_search(items_of(values), 6)
+    result = triple_partition_search(
+        items_of(values), 6, node_budget=10**8, time_budget=60.0, mate=None
+    )
     assert result.status == "infeasible"
 
 
@@ -98,7 +104,9 @@ def test_search_exhausts_to_infeasible():
 )
 @settings(deadline=None, max_examples=150)
 def test_search_feasibility_matches_brute_force(values, target):
-    result = triple_partition_search(items_of(values), target, node_budget=10**6)
+    result = triple_partition_search(
+        items_of(values), target, node_budget=10**6, time_budget=60.0, mate=None
+    )
     expected = brute_feasible(values, target)
     assert result.status != "budget-exhausted"
     assert result.found == expected
@@ -108,12 +116,16 @@ def test_search_feasibility_matches_brute_force(values, target):
 
 def test_search_not_divisible():
     with pytest.raises(NotDivisibleByThreeError):
-        triple_partition_search(items_of([1, 1]), 2)
+        triple_partition_search(
+            items_of([1, 1]), 2, node_budget=10**8, time_budget=60.0, mate=None
+        )
 
 
 def test_search_budget_exhaustion():
     values = [0, 1, 2] * 6
-    result = triple_partition_search(items_of(values), 3, node_budget=2)
+    result = triple_partition_search(
+        items_of(values), 3, node_budget=2, time_budget=60.0, mate=None
+    )
     assert result.status == "budget-exhausted"
     assert result.partition is None
     assert result.nodes == 2
@@ -121,8 +133,12 @@ def test_search_budget_exhaustion():
 
 def test_search_deterministic():
     values = [0, 1, 3, 2, 2, 0, 1, 1, 2, 4, 0, 0]
-    first = triple_partition_search(items_of(values), 4)
-    second = triple_partition_search(items_of(values), 4)
+    first = triple_partition_search(
+        items_of(values), 4, node_budget=10**8, time_budget=60.0, mate=None
+    )
+    second = triple_partition_search(
+        items_of(values), 4, node_budget=10**8, time_budget=60.0, mate=None
+    )
     assert first.found and second.found
     assert first.partition.triples == second.partition.triples
     assert first.nodes == second.nodes
@@ -188,7 +204,30 @@ def test_conjugation_closed_search():
 def test_mate_must_be_involution():
     items = items_of([0, 0, 1])
     with pytest.raises(ValueError):
-        triple_partition_search(items, 1, mate={"x0": "x1", "x1": "x2", "x2": "x0"})
+        triple_partition_search(
+            items, 1, node_budget=10**8, time_budget=60.0,
+            mate={"x0": "x1", "x1": "x2", "x2": "x0"},
+        )
+
+
+def test_mate_outside_the_item_set():
+    items = items_of([0, 0, 1])
+    with pytest.raises(ValueError):
+        triple_partition_search(
+            items, 1, node_budget=10**8, time_budget=60.0, mate={"x0": "y0", "y0": "x0"}
+        )
+
+
+@pytest.mark.parametrize("shape, conjugate", [((2,), "1,1"), ((1, 1), "2")])
+def test_conjugation_closed_walks_need_a_self_conjugate_shape(monkeypatch, shape, conjugate):
+    def no_walks(*args):
+        raise AssertionError("walks were enumerated")
+
+    monkeypatch.setattr(homomesy, "enumerate_ot", no_walks)
+    with pytest.raises(OsctabError) as excinfo:
+        search_tableaux(shape, 2, conjugation_closed=True)
+    message = str(excinfo.value)
+    assert f"{','.join(map(str, shape))} has conjugate {conjugate}" in message
 
 
 def test_search_verifies_before_reporting(monkeypatch):
@@ -198,7 +237,9 @@ def test_search_verifies_before_reporting(monkeypatch):
             kernels, "triple_search", lambda *args: (kernels.STATUS_FOUND, triples, 1)
         )
         with pytest.raises(RuntimeError):
-            triple_partition_search(items_of([0, 1, 1]), target)
+            triple_partition_search(
+                items_of([0, 1, 1]), target, node_budget=10**8, time_budget=60.0, mate=None
+            )
 
 
 def test_value_count_search_resolves_the_open_instances():

@@ -84,7 +84,9 @@ def test_enumerate_bound():
     with pytest.raises(BoundExceededError):
         list(enumerate_matchings(9))
     with pytest.raises(BoundExceededError):
-        list(scan_matchings(9))
+        scan_matchings(9)  # checked on the call, before any batch is asked for
+    with pytest.raises(BoundExceededError):
+        joint_distribution(9)
 
 
 @pytest.mark.parametrize("n", range(7))
