@@ -14,19 +14,20 @@ for usage or input errors, 3 for an exhausted search budget.  A
 report's details may be Streamed text that is computed while `main`
 writes it, so neither the stats table nor the enumerated walks sit in
 memory whole.
+
+Each handler imports the engine modules it runs, and the options that
+read engine constants (`homomesy`, `verify`) are added only when their
+subcommand is parsed, so a process loads only what its command uses.
 """
 
 import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
-from . import diffposet, homomesy, kernels, matchings, tableaux, verify
 from .errors import OsctabError
 from .partitions import format_partition, parse_partition, size
 from .util import max_enumeration_size
@@ -37,23 +38,20 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class Streamed:
+class Streamed(NamedTuple):
     """A details value written while it is computed: pieces of its JSON
     text, indented as the value of "details" is."""
 
     chunks: Iterable[str]
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Envelope for one command invocation."""
 
     command: str
     parameters: dict[str, Any]
     outcome: str  # pass | fail | infeasible | budget-exhausted
     details: Any  # JSON data, or Streamed text
-    elapsed: float = 0.0
 
     def json_body(self) -> Iterator[str]:
         """The report's indented JSON up to the end of "details"; json_end closes it."""
@@ -69,10 +67,10 @@ class RunReport:
         else:
             yield head + _nested_json(self.details)
 
-    def json_end(self, timing: bool) -> str:
-        """The rest of the object: elapsed_seconds, the last field, with timing."""
-        if timing:
-            return f',\n  "elapsed_seconds": {json.dumps(round(self.elapsed, 6))}\n}}'
+    def json_end(self, elapsed: float | None) -> str:
+        """The rest of the object: elapsed_seconds, the last field, unless elapsed is None."""
+        if elapsed is not None:
+            return f',\n  "elapsed_seconds": {json.dumps(round(elapsed, 6))}\n}}'
         return "\n}"
 
     @property
@@ -90,7 +88,8 @@ def _nested_json(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _frac(value: Fraction) -> dict[str, str]:
+def _frac(value) -> dict[str, str]:
+    """A Fraction as its numerator and denominator strings."""
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
@@ -110,6 +109,8 @@ def _check_rows_payload(rows) -> tuple[str, list[dict[str, str]]]:
 
 
 def cmd_count(args) -> RunReport:
+    from . import tableaux
+
     shape = parse_partition(args.shape)
     formula = tableaux.count_formula(shape, args.n)
     details: dict[str, Any] = {"formula": str(formula)}
@@ -130,6 +131,8 @@ def cmd_count(args) -> RunReport:
 
 
 def cmd_enumerate(args) -> RunReport:
+    from . import tableaux
+
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
     # two passes: "count" is written before "walks", and a capped run fails before any output
@@ -158,6 +161,8 @@ def cmd_enumerate(args) -> RunReport:
 
 
 def cmd_avg_weight(args) -> RunReport:
+    from . import tableaux
+
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
     if args.n is not None:
@@ -189,6 +194,8 @@ def cmd_avg_weight(args) -> RunReport:
 
 
 def cmd_gf(args) -> RunReport:
+    from . import tableaux
+
     shape = parse_partition(args.shape)
     poly = tableaux.weight_generating_function(shape, args.length)
     return RunReport(
@@ -200,6 +207,8 @@ def cmd_gf(args) -> RunReport:
 
 
 def cmd_q_table(args) -> RunReport:
+    from . import diffposet
+
     table = diffposet.q_table(args.lmax)
     entries = []
     for l in range(args.lmax + 1):
@@ -212,6 +221,8 @@ def cmd_q_table(args) -> RunReport:
 
 
 def cmd_b_table(args) -> None:
+    from . import diffposet
+
     table = diffposet.q_table(args.lmax)
     lines = ["i,l,b,c"]
     for l in range(args.lmax + 1):
@@ -223,6 +234,8 @@ def cmd_b_table(args) -> None:
 
 
 def cmd_verify_eq1(args) -> RunReport:
+    from . import diffposet
+
     # one table up to the largest length in the grid; past its bound this exits 2
     table = diffposet.q_table(args.kmax + 2 * args.nmax)
     rows = []
@@ -248,6 +261,8 @@ def cmd_verify_eq1(args) -> RunReport:
 
 
 def cmd_rs_forward(args) -> RunReport:
+    from . import matchings, tableaux
+
     matching = matchings.parse_matching(args.matching)
     tableau = matchings.matching_to_tableau(matching)
     return RunReport(
@@ -264,6 +279,8 @@ def cmd_rs_forward(args) -> RunReport:
 
 
 def cmd_rs_inverse(args) -> RunReport:
+    from . import matchings, tableaux
+
     tableau = tableaux.parse_tableau(args.tableau)
     matching = matchings.tableau_to_matching(tableau)
     return RunReport(
@@ -275,6 +292,8 @@ def cmd_rs_inverse(args) -> RunReport:
 
 
 def cmd_rs_roundtrip(args) -> RunReport:
+    from . import verify
+
     rows = verify.suite_rs(args.n)
     outcome, payload = _check_rows_payload(rows)
     return RunReport("rs roundtrip", {"n": args.n}, outcome, {"checks": payload})
@@ -290,6 +309,8 @@ def _stats_rows(n: int) -> Iterator[list[tuple[str, int, int, int, str, int, int
     One list per matchings.scan_matchings batch, so each is formatted in one go.
     The scan is started here, so an n past its bound raises before any output.
     """
+    from . import matchings
+
     batches = matchings.scan_matchings(n)
     area = cache(matchings.area)  # once per distinct word, 1,430 at n = 8
     weights = [matchings.weight_of_alignments(n, al) for al in range(n * (n - 1) // 2 + 1)]
@@ -337,6 +358,11 @@ def cmd_stats(args) -> RunReport | None:
 
 
 def cmd_homomesy(args) -> RunReport:
+    from . import homomesy, kernels
+
+    if args.shape is not None and args.target_set == "matchings":
+        raise OsctabError("--shape applies only to --target-set tableaux")
+    shape_text = "-" if args.shape is None else args.shape  # echoed as given, "-" if not
     if args.target_set == "matchings":
         result = homomesy.search_matchings(
             args.n,
@@ -345,7 +371,7 @@ def cmd_homomesy(args) -> RunReport:
             conjugation_closed=args.conjugation_closed,
         )
     else:
-        shape = parse_partition(args.shape)
+        shape = parse_partition(shape_text)
         result = homomesy.search_tableaux(
             shape,
             args.n,
@@ -368,7 +394,7 @@ def cmd_homomesy(args) -> RunReport:
         "homomesy",
         {
             "target_set": args.target_set,
-            "shape": args.shape,
+            "shape": shape_text,
             "n": args.n,
             "conjugation_closed": args.conjugation_closed,
         },
@@ -378,6 +404,8 @@ def cmd_homomesy(args) -> RunReport:
 
 
 def cmd_skew_scan(args) -> RunReport:
+    from . import tableaux
+
     report_data = tableaux.skew_denominator_scan(
         args.max_mu, args.max_shape, args.max_length, keep_records=args.records
     )
@@ -416,6 +444,8 @@ def cmd_skew_scan(args) -> RunReport:
 
 
 def cmd_verify(args) -> RunReport:
+    from . import verify
+
     rows = verify.run_suite(args.suite, args.kmax, args.nmax)
     outcome, payload = _check_rows_payload(rows)
     return RunReport(
@@ -443,13 +473,59 @@ NON_NEGATIVE_INT = _non_negative(int)
 NON_NEGATIVE_FLOAT = _non_negative(float)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that can take `options`, a function that adds its arguments
+    when the parser is first used, so that a subcommand whose options come
+    from an engine module imports it only when that subcommand runs."""
+
+    def __init__(self, *args, options=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        options, self._options = self._options, None
+        if options is not None:
+            options(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _homomesy_options(p: argparse.ArgumentParser) -> None:
+    from . import homomesy
+
+    p.add_argument("--target-set", choices=("matchings", "tableaux"), required=True)
+    p.add_argument("--shape")
+    p.add_argument("--n", type=NON_NEGATIVE_INT, required=True)
+    p.add_argument("--budget-nodes", type=NON_NEGATIVE_INT, default=homomesy.DEFAULT_NODE_BUDGET)
+    p.add_argument(
+        "--budget-seconds", type=NON_NEGATIVE_FLOAT, default=homomesy.DEFAULT_TIME_BUDGET,
+        help="clock limit in seconds (default %(default)s); "
+        "--budget-seconds 0 turns off the clock limit",
+    )
+    p.add_argument("--conjugation-closed", action="store_true",
+                   help="restrict to triples closed under conjugation")
+
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    from . import verify
+
+    p.add_argument(
+        "--suite",
+        choices=(*verify.SUITES, "all"),
+        default="all",
+    )
+    for key, meaning in (("kmax", "largest shape size"), ("nmax", "largest n")):
+        takers = [name for name, keys in verify.SUITE_OVERRIDES.items() if key in keys]
+        p.add_argument(f"--{key}", type=NON_NEGATIVE_INT, default=None,
+                       help=f"{meaning}; taken by suites {', '.join(takers)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="osctab",
         description="Exact walk enumeration, matching statistics, and orbit search",
     )
     parser.add_argument("--timing", action="store_true", help="include elapsed times in output")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("count", help="walk count: closed form vs enumeration")
     p.add_argument("--shape", required=True)
@@ -507,18 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("homomesy", help="search for constant-sum triple partitions")
-    p.add_argument("--target-set", choices=("matchings", "tableaux"), required=True)
-    p.add_argument("--shape", default="-")
-    p.add_argument("--n", type=NON_NEGATIVE_INT, required=True)
-    p.add_argument("--budget-nodes", type=NON_NEGATIVE_INT, default=homomesy.DEFAULT_NODE_BUDGET)
-    p.add_argument(
-        "--budget-seconds", type=NON_NEGATIVE_FLOAT, default=homomesy.DEFAULT_TIME_BUDGET,
-        help="clock limit in seconds (default %(default)s); "
-        "--budget-seconds 0 turns off the clock limit",
+    p = sub.add_parser(
+        "homomesy", help="search for constant-sum triple partitions", options=_homomesy_options
     )
-    p.add_argument("--conjugation-closed", action="store_true",
-                   help="restrict to triples closed under conjugation")
     p.set_defaults(func=cmd_homomesy)
 
     p = sub.add_parser("skew-scan", help="denominators of skew average weights")
@@ -533,16 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a verification battery",
         epilog="A named suite exits 2 on an override it does not take; with --suite all "
         "each override goes only to the suites that take it.",
+        options=_verify_options,
     )
-    p.add_argument(
-        "--suite",
-        choices=(*verify.SUITES, "all"),
-        default="all",
-    )
-    for key, meaning in (("kmax", "largest shape size"), ("nmax", "largest n")):
-        takers = [name for name, keys in verify.SUITE_OVERRIDES.items() if key in keys]
-        p.add_argument(f"--{key}", type=NON_NEGATIVE_INT, default=None,
-                       help=f"{meaning}; taken by suites {', '.join(takers)}")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -560,8 +619,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PASS
     for chunk in report.json_body():
         sys.stdout.write(chunk)
-    report.elapsed = time.monotonic() - started
-    sys.stdout.write(report.json_end(args.timing) + "\n")
+    elapsed = time.monotonic() - started if args.timing else None
+    sys.stdout.write(report.json_end(elapsed) + "\n")
     return report.exit_code
 
 

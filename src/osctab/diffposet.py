@@ -8,10 +8,9 @@ value and derivative at y = 1 give the walk counts and total walk
 weights that the closed forms are checked against.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import BoundExceededError
 from .laurent import LaurentPolynomial
@@ -182,8 +181,7 @@ def c_value(i: int, l: int) -> int:
     return prev.get(i, 0)
 
 
-@dataclass
-class KeyIdentityReport:
+class KeyIdentityReport(NamedTuple):
     """Exact comparison of the weighted-to-plain coefficient ratio with its closed form."""
 
     k: int

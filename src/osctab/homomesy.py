@@ -14,8 +14,7 @@ only after homomesy_verify accepts it.
 """
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import CoverageError, NotDivisibleByThreeError, ShapeMismatchError
@@ -42,16 +41,14 @@ DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_TIME_BUDGET = 60.0
 
 
-@dataclass
-class TriplePartition:
+class TriplePartition(NamedTuple):
     """Disjoint triples of item identifiers, each summing to the target."""
 
     triples: list[tuple[str, str, str]]
     target: int
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a triple-partition search run."""
 
     status: str  # kernels.STATUS_*: "certificate" | "infeasible" | "budget-exhausted"

@@ -10,8 +10,7 @@ the matchings to the walks while preserving that projection.
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .errors import BoundExceededError, InvalidDyckWordError, ShapeMismatchError
@@ -193,8 +192,7 @@ def partner_array(matching: PerfectMatching) -> list[int]:
     return partner
 
 
-@dataclass(frozen=True)
-class MatchingStats:
+class MatchingStats(NamedTuple):
     crossings: int
     nestings: int
     alignments: int

@@ -8,10 +8,9 @@ are the skew variant, which has no closed form here: its weight
 profiles come from the walk DP in kernels, checked against enumeration.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchError
@@ -189,8 +188,7 @@ def weight_generating_function(shape: Partition, length: int) -> LaurentPolynomi
     return LaurentPolynomial({w: c for w, c in enumerate(profile) if c})
 
 
-@dataclass
-class ScanCase:
+class ScanCase(NamedTuple):
     """One nonempty cell of the skew-average scan."""
 
     start: Partition
@@ -204,16 +202,15 @@ class ScanCase:
         return self.average.denominator
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     """Outcome of scanning skew average-weight denominators over a grid."""
 
-    cases: int = 0
-    max_denominator: int = 1
-    max_denominator_case: Optional[ScanCase] = None
-    witness_exceeding_3: Optional[ScanCase] = None
-    witness_not_dividing_3: Optional[ScanCase] = None
-    records: list[ScanCase] = field(default_factory=list)
+    cases: int
+    max_denominator: int
+    max_denominator_case: Optional[ScanCase]
+    witness_exceeding_3: Optional[ScanCase]
+    witness_not_dividing_3: Optional[ScanCase]
+    records: list[ScanCase]
 
     @property
     def all_denominators_divide_3(self) -> bool:
@@ -234,7 +231,8 @@ def skew_denominator_scan(
     exceeds 3.  One kernel pass per start yields the profiles of every
     shape and length; cases are visited start, then shape, then length.
     """
-    report = ScanReport()
+    cases, max_denominator, records = 0, 1, []
+    max_case = exceeding_3 = not_dividing_3 = None
     shapes = list(partitions_up_to(max_shape_size))
     for start in partitions_up_to(max_start_size):
         profiles = kernels.ot_weight_profiles(start, shapes, max_length)
@@ -246,14 +244,13 @@ def skew_denominator_scan(
                 count = sum(profile)
                 total = sum(w * c for w, c in enumerate(profile))
                 case = ScanCase(start, shape, length, count, Fraction(total, count))
-                report.cases += 1
+                cases += 1
                 if keep_records:
-                    report.records.append(case)
-                if case.denominator > report.max_denominator:
-                    report.max_denominator = case.denominator
-                    report.max_denominator_case = case
-                if case.denominator > 3 and report.witness_exceeding_3 is None:
-                    report.witness_exceeding_3 = case
-                if case.denominator not in (1, 3) and report.witness_not_dividing_3 is None:
-                    report.witness_not_dividing_3 = case
-    return report
+                    records.append(case)
+                if case.denominator > max_denominator:
+                    max_denominator, max_case = case.denominator, case
+                if case.denominator > 3 and exceeding_3 is None:
+                    exceeding_3 = case
+                if case.denominator not in (1, 3) and not_dividing_3 is None:
+                    not_dividing_3 = case
+    return ScanReport(cases, max_denominator, max_case, exceeding_3, not_dividing_3, records)

@@ -5,11 +5,10 @@ with both sides rendered so a failure is self-describing.  The CLI
 `verify` command and the acceptance tests both run these.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from inspect import signature
 from itertools import permutations
 from math import comb
+from typing import NamedTuple
 
 from . import diffposet, kernels, matchings, tableaux
 from .errors import OsctabError
@@ -27,8 +26,7 @@ from .laurent import LaurentPolynomial
 from .partitions import EMPTY, format_partition, num_syt, partitions_up_to, size
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     passed: bool
     lhs: str
@@ -353,9 +351,12 @@ SUITES = {
 }
 
 
-# The range overrides each suite takes, read from the signatures here,
-# before any caller replaces a function in SUITES with a wrapper.
-SUITE_OVERRIDES = {name: tuple(signature(suite).parameters) for name, suite in SUITES.items()}
+# The range overrides each suite takes: its parameter names, read from its
+# code (importing inspect would cost every run) here, before any caller
+# replaces a function in SUITES with a wrapper.
+SUITE_OVERRIDES = {
+    name: suite.__code__.co_varnames[: suite.__code__.co_argcount] for name, suite in SUITES.items()
+}
 
 
 def run_suite(name: str, kmax: int | None = None, nmax: int | None = None) -> list[CheckRow]:

@@ -12,6 +12,7 @@ from osctab.partitions import format_partition, parse_partition
 from osctab.tableaux import enumerate_ot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDENS = json.loads((Path(__file__).parent / "data" / "goldens.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -359,6 +360,7 @@ def test_homomesy_matchings(capsys):
     assert payload["details"]["triples"] == [["1-2,3-4", "1-3,2-4", "1-4,2-3"]]
     assert payload["details"]["search"]["engine"] == "value-count"
     assert "time_seconds" not in payload["details"]["search"]
+    assert payload["parameters"]["shape"] == "-"
 
 
 def test_homomesy_large_set(capsys):
@@ -489,7 +491,9 @@ def test_output_reproducible(capsys):
 def test_timing_flag_adds_elapsed(capsys, argv):
     code, out, _ = run_cli(capsys, "--timing", *argv)
     assert code == 0
-    assert json.loads(out)["elapsed_seconds"] > 0
+    payload = json.loads(out)
+    assert payload["elapsed_seconds"] > 0
+    assert list(payload)[-1] == "elapsed_seconds"
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "elapsed_seconds" not in json.loads(out)
@@ -519,6 +523,8 @@ def test_timing_flag_leaves_csv_alone(capsys, argv, header):
         (("count", "--shape", "1,2", "--n", "1"), "weakly decreasing"),
         # --n 2 means length 4 here, so length 6 contradicts it
         (("avg-weight", "--shape", "-", "--n", "2", "--length", "6"), "does not match"),
+        # matchings take no shape, so one given is refused rather than ignored
+        (("homomesy", "--target-set", "matchings", "--n", "3", "--shape", "2"), "--shape"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):
@@ -544,3 +550,51 @@ def test_exit_status_of_a_real_process(argv, status):
         [sys.executable, "-m", "osctab.cli", *argv], env=env, capture_output=True, timeout=60
     )
     assert done.returncode == status, done.stderr
+
+
+@pytest.mark.parametrize("command", GOLDENS["help_columns_80"], ids=lambda c: c or "osctab")
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (GOLDENS["help_columns_80"][command], "")
+
+
+ENGINES = ("tableaux", "kernels", "laurent", "matchings", "homomesy", "diffposet", "verify")
+
+
+def loaded_modules(argv):
+    """The modules a fresh interpreter holds after `import osctab.cli` and main(argv)."""
+    script = (
+        "import sys\n"
+        "from osctab.cli import main\n"
+        "status = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(*sorted(sys.modules))\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        ((), (), ENGINES),
+        (("skew-scan", "--max-mu", "1", "--max-shape", "2", "--max-length", "3"),
+         ("tableaux",), ("verify", "diffposet", "homomesy", "matchings")),
+        (("stats", "--n", "2"), ("matchings",), ("verify", "diffposet")),
+        (("homomesy", "--target-set", "matchings", "--n", "2"), ("homomesy",), ("verify", "diffposet")),
+        (("verify", "--suite", "skew"), ENGINES, ()),
+    ],
+)
+def test_a_command_imports_only_what_it_runs(argv, loaded, absent):
+    modules = loaded_modules(argv)
+    assert {f"osctab.{name}" for name in ("cli", *loaded)} <= modules
+    assert not {f"osctab.{name}" for name in absent} & modules
+    assert "dataclasses" not in modules

@@ -162,6 +162,16 @@ def test_matching_search_n2_unique():
     assert homomesy_verify(result.partition, matching_items(2))
 
 
+def test_search_result_is_a_record_with_found():
+    exhausted = search_matchings(4, node_budget=2, time_budget=0)
+    assert exhausted.status == kernels.STATUS_BUDGET and not exhausted.found
+    assert exhausted.partition is None
+    assert (exhausted.nodes, exhausted.target, exhausted.item_count) == (2, 6, 105)
+    with pytest.raises(AttributeError):
+        exhausted.status = kernels.STATUS_FOUND
+    assert search_matchings(2).found
+
+
 def test_matching_search_goldens():
     for n_text, golden in GOLDENS["matching_search"].items():
         n = int(n_text)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -240,6 +241,29 @@ def test_skew_scan_finds_large_denominator():
     assert str(witness.average) == expected["average"]
 
 
+def test_scan_report_fields_equal_the_golden():
+    golden = GOLDENS["skew_scan_3_4_9_records"]
+    report = skew_denominator_scan(3, 4, 9, keep_records=True)
+
+    def case_fields(case):
+        if case is None:
+            return None
+        return [list(case.start), list(case.shape), case.length, case.count, str(case.average)]
+
+    assert list(report._fields) == golden["fields"]
+    assert report.cases == golden["cases"] == len(report.records)
+    assert report.max_denominator == golden["max_denominator"]
+    for name in ("max_denominator_case", "witness_exceeding_3", "witness_not_dividing_3"):
+        assert case_fields(getattr(report, name)) == golden[name]
+    lines = "".join(f"{c.start}|{c.shape}|{c.length}|{c.count}|{c.average}\n" for c in report.records)
+    assert hashlib.sha256(lines.encode()).hexdigest() == golden["records_sha256"]
+    assert report.max_denominator_case.denominator == report.max_denominator
+    assert report.witness_exceeding_3.denominator == 7
+    assert report.all_denominators_divide_3 is False
+    with pytest.raises(AttributeError):
+        report.cases = 0
+
+
 def test_skew_scan_trivial_case():
     report = skew_denominator_scan(0, 0, 0)
     assert report.cases == 1
@@ -256,7 +280,8 @@ def test_scan_agrees_with_enumerated_averages():
 
 def per_cell_scan(max_start_size, max_shape_size, max_length, keep_records=False):
     """The scan with one profile per (start, shape, length) cell, kept as its oracle."""
-    report = ScanReport()
+    cases, max_denominator, records = 0, 1, []
+    max_case = exceeding_3 = not_dividing_3 = None
     for start in partitions_up_to(max_start_size):
         for shape in partitions_up_to(max_shape_size):
             for length in range(max_length + 1):
@@ -266,17 +291,16 @@ def per_cell_scan(max_start_size, max_shape_size, max_length, keep_records=False
                 count = sum(profile)
                 total = sum(w * c for w, c in enumerate(profile))
                 case = ScanCase(start, shape, length, count, Fraction(total, count))
-                report.cases += 1
+                cases += 1
                 if keep_records:
-                    report.records.append(case)
-                if case.denominator > report.max_denominator:
-                    report.max_denominator = case.denominator
-                    report.max_denominator_case = case
-                if case.denominator > 3 and report.witness_exceeding_3 is None:
-                    report.witness_exceeding_3 = case
-                if case.denominator not in (1, 3) and report.witness_not_dividing_3 is None:
-                    report.witness_not_dividing_3 = case
-    return report
+                    records.append(case)
+                if case.denominator > max_denominator:
+                    max_denominator, max_case = case.denominator, case
+                if case.denominator > 3 and exceeding_3 is None:
+                    exceeding_3 = case
+                if case.denominator not in (1, 3) and not_dividing_3 is None:
+                    not_dividing_3 = case
+    return ScanReport(cases, max_denominator, max_case, exceeding_3, not_dividing_3, records)
 
 
 @pytest.mark.parametrize("grid", [(0, 0, 0), (2, 2, 4), (3, 3, 6), (3, 4, 9)])
