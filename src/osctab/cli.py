@@ -10,7 +10,8 @@ Each handler only computes: it returns a RunReport (or prints its CSV
 table and returns None).  `main` alone reads the clock, prints reports
 and errors, and maps outcomes to exit statuses: 0 for pass and for
 search outcomes certificate/infeasible, 1 for a failed verification, 2
-for usage or input errors, 3 for an exhausted search budget.  A
+for usage or input errors, 3 for an exhausted search budget, and 141 (as
+for a process killed by SIGPIPE) when the reader closes stdout early.  A
 report's details may be Streamed text that is computed while `main`
 writes it, so neither the stats table nor the enumerated walks sit in
 memory whole.
@@ -22,6 +23,7 @@ subcommand is parsed, so a process loads only what its command uses.
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -36,6 +38,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class Streamed(NamedTuple):
@@ -612,16 +615,23 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         report = args.func(args)
+        if report is not None:  # None: a CSV table, already printed
+            for chunk in report.json_body():
+                sys.stdout.write(chunk)
+            elapsed = time.monotonic() - started if args.timing else None
+            sys.stdout.write(report.json_end(elapsed) + "\n")
+        sys.stdout.flush()
     except (OsctabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if report is None:  # a CSV table, already printed
-        return EXIT_PASS
-    for chunk in report.json_body():
-        sys.stdout.write(chunk)
-    elapsed = time.monotonic() - started if args.timing else None
-    sys.stdout.write(report.json_end(elapsed) + "\n")
-    return report.exit_code
+    except BrokenPipeError:
+        # the reader is gone (`osctab stats --n 6 | head -1`): what is still
+        # buffered goes to devnull, so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return EXIT_PASS if report is None else report.exit_code
 
 
 if __name__ == "__main__":

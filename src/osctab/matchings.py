@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import kernels
 from .errors import BoundExceededError, InvalidDyckWordError, ShapeMismatchError
 from .partitions import EMPTY, Partition, conjugate
-from .tableaux import OscillatingTableau, is_cover, is_oscillating_tableau
+from .tableaux import OscillatingTableau, is_oscillating_tableau
 
 PerfectMatching = tuple[tuple[int, int], ...]
 
@@ -256,10 +256,8 @@ def dyck_of_tableau(tableau: OscillatingTableau) -> str:
         raise ShapeMismatchError("not a single-box walk")
     if tableau[0] != EMPTY or tableau[-1] != EMPTY or len(tableau) % 2 == 0:
         raise ShapeMismatchError("walk must start and end at the empty partition")
-    letters = []
-    for prev, cur in zip(tableau, tableau[1:]):
-        letters.append("1" if sum(cur) > sum(prev) else "0")
-    return "".join(letters)
+    # a validated step adds a box exactly when it is the larger tuple
+    return "".join("1" if cur > prev else "0" for prev, cur in zip(tableau, tableau[1:]))
 
 
 def area(word: str) -> int:
@@ -323,7 +321,7 @@ def tableau_to_matching(tableau: OscillatingTableau) -> PerfectMatching:
     pairs: list[tuple[int, int]] = []
     for i in range(1, len(tableau)):
         prev, cur = tableau[i - 1], tableau[i]
-        if is_cover(prev, cur):
+        if cur > prev:  # a validated step that adds a box
             row = _removed_corner(cur, prev)
             if row == len(filling):
                 filling.append([])

@@ -33,12 +33,20 @@ OscillatingTableau = tuple[Partition, ...]
 
 
 def is_cover(small: Partition, big: Partition) -> bool:
-    """True when big is small plus exactly one box."""
-    if size(big) != size(small) + 1:
+    """True when big is small plus exactly one box.
+
+    Decided by the row counts and the first row that differs, without
+    sizes: with as many rows, that row grows by one and the rest agree;
+    with one row more, the new last row is 1 and the rest agree.
+    """
+    if len(big) == len(small) + 1:
+        return big[-1] == 1 and big[:-1] == small
+    if len(big) != len(small):
         return False
-    if len(big) < len(small):
-        return False
-    return all(b >= s for s, b in zip(small, big + (0,) * len(small)))
+    for row, (s, b) in enumerate(zip(small, big)):
+        if s != b:
+            return b == s + 1 and big[row + 1 :] == small[row + 1 :]
+    return False
 
 
 def is_oscillating_tableau(steps: Sequence[Partition]) -> bool:

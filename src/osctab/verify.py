@@ -6,7 +6,8 @@ with both sides rendered so a failure is self-describing.  The CLI
 """
 
 from fractions import Fraction
-from itertools import permutations
+from functools import cache
+from itertools import chain, permutations
 from math import comb
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ from .homomesy import (
     tableau_items,
 )
 from .laurent import LaurentPolynomial
-from .partitions import EMPTY, format_partition, num_syt, partitions_up_to, size
+from .partitions import EMPTY, Partition, format_partition, num_syt, partitions_up_to, size
 
 
 class CheckRow(NamedTuple):
@@ -37,14 +38,30 @@ def _row(name: str, lhs, rhs) -> CheckRow:
     return CheckRow(name, lhs == rhs, str(lhs), str(rhs))
 
 
+@cache
+def _walk_totals(shape: Partition, length: int) -> tuple[int, int]:
+    """(count, total weight) of the length-`length` walks from the empty partition to shape.
+
+    One tableaux.enumerate_ot pass per cell, shared by suite_count and
+    suite_weight; run_suite clears the cache, so each run enumerates anew.
+    """
+    count = total = 0
+    for tableau in tableaux.enumerate_ot((), shape, length):
+        count += 1
+        total += tableaux.weight(tableau)
+    return count, total
+
+
 def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
-    """Enumerated walk counts against C(2n+k, k) (2n-1)!! f(shape)."""
+    """Enumerated walk counts against C(2n+k, k) (2n-1)!! f(shape).
+
+    The counts come from _walk_totals, the brute-force walk enumeration.
+    """
     rows = []
     for shape in partitions_up_to(kmax):
         k = size(shape)
         for n in range(nmax + 1):
-            length = k + 2 * n
-            enumerated = sum(1 for _ in tableaux.enumerate_ot((), shape, length))
+            enumerated, _ = _walk_totals(shape, k + 2 * n)
             rows.append(
                 _row(
                     f"count shape={format_partition(shape)} n={n}",
@@ -56,13 +73,17 @@ def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
 
 
 def suite_weight(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
-    """Enumerated average weights against the quadratic closed form."""
+    """Enumerated average weights against the quadratic closed form.
+
+    The averages are total over count from _walk_totals, the same
+    enumeration suite_count reads, so one run of both walks each cell once.
+    """
     rows = []
     for shape in partitions_up_to(kmax):
         k = size(shape)
         for n in range(nmax + 1):
-            length = k + 2 * n
-            enumerated = tableaux.average_weight_enumerated((), shape, length)
+            count, total = _walk_totals(shape, k + 2 * n)
+            enumerated = Fraction(total, count)
             formula = tableaux.average_weight_formula(k, n)
             rows.append(
                 _row(
@@ -178,7 +199,15 @@ def suite_rs(nmax: int = 5) -> list[CheckRow]:
 
 
 def suite_stats(nmax: int = 6) -> list[CheckRow]:
-    """Pairwise statistics, area identities, and distribution facts."""
+    """Pairwise statistics, area identities, and distribution facts.
+
+    The per-matching (cr, ne, al) and Dyck word come from
+    matchings.scan_matchings, the engine `stats` prints; the identities
+    hold them against the area and heights counted from the word alone.
+    tests/test_matchings.py::test_scan_rows_equal_enumerated_stats holds
+    the scan equal to the per-matching classifier (kernels.matching_stats,
+    which matchings.stats wraps) for n <= 6.
+    """
     rows = []
     for word, expected in (("101010", 0), ("101100", 1), ("111000", 3)):
         rows.append(_row(f"area({word})", matchings.area(word), expected))
@@ -189,21 +218,19 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
         align_total = 0
         count = 0
         word_sums: dict[str, tuple[int, int]] = {}  # (area, sum(a)) once per distinct word
-        for m in matchings.enumerate_matchings(n):
+        for _, cr, ne, al, word in chain.from_iterable(matchings.scan_matchings(n)):
             count += 1
-            s = matchings.stats(m)
-            word = matchings.dyck_of_matching(m)
             if word not in word_sums:
                 a, _ = matchings.prefix_stats(word)
                 word_sums[word] = matchings.area(word), sum(a)
             word_area, a_sum = word_sums[word]
-            if s.crossings + s.nestings + s.alignments != comb(n, 2):
+            if cr + ne + al != comb(n, 2):
                 sum_ok = False
-            if s.alignments != comb(n, 2) - word_area:
+            if al != comb(n, 2) - word_area:
                 align_ok = False
-            if s.crossings + s.nestings != a_sum:
+            if cr + ne != a_sum:
                 prefix_ok = False
-            align_total += s.alignments
+            align_total += al
         rows.append(_row(f"cr+ne+al = C(n,2), n={n}", sum_ok, True))
         rows.append(_row(f"al = C(n,2) - area, n={n}", align_ok, True))
         rows.append(_row(f"cr+ne = sum(a), n={n}", prefix_ok, True))
@@ -374,6 +401,7 @@ def run_suite(name: str, kmax: int | None = None, nmax: int | None = None) -> li
                 f"suite {name!r} takes no --{refused[0]} override "
                 f"(it takes {' '.join('--' + key for key in accepted) or 'none'})"
             )
+    _walk_totals.cache_clear()
     rows = []
     for suite_name in SUITES if name == "all" else (name,):
         accepted = SUITE_OVERRIDES[suite_name]

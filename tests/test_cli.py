@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -236,6 +237,9 @@ class WriteRecorder:
         self.writes.append(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_stats_streams_in_bounded_writes(monkeypatch, fmt):
@@ -465,6 +469,20 @@ def test_verify_all_small(capsys):
     assert payload["details"]["total"] > 100
 
 
+def test_verify_all_bytes_equal_the_golden(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["details"]["total"] == GOLDENS["verify_all"]["checks"]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS["verify_all"]["sha256"]
+
+
+def test_verify_stats_past_the_matching_bound_exits_2(capsys):
+    # n <= 8 are checked first; the scan refuses n = 9 inside the same loop
+    code, out, err = run_cli(capsys, "verify", "--suite", "stats", "--nmax", "9")
+    golden = GOLDENS["verify_stats_nmax_9"]
+    assert (code, out, err) == (golden["status"], golden["stdout"], golden["stderr"])
+
+
 def test_output_reproducible(capsys):
     _, first, _ = run_cli(capsys, "homomesy", "--target-set", "matchings", "--n", "3")
     _, second, _ = run_cli(capsys, "homomesy", "--target-set", "matchings", "--n", "3")
@@ -550,6 +568,23 @@ def test_exit_status_of_a_real_process(argv, status):
         [sys.executable, "-m", "osctab.cli", *argv], env=env, capture_output=True, timeout=60
     )
     assert done.returncode == status, done.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_reader_that_closes_early_ends_the_run_quietly(fmt):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # 300 KB of rows, more than a pipe holds, so a write meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "osctab.cli", "stats", "--n", "6", "--format", fmt],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert first in (b"matching,cr,ne,al,dyck,area,wt\n", b"{\n")
 
 
 @pytest.mark.parametrize("command", GOLDENS["help_columns_80"], ids=lambda c: c or "osctab")

@@ -1,0 +1,41 @@
+"""One brute-force walk pass per cell, shared by the count and weight suites."""
+
+from osctab import tableaux, verify
+from osctab.partitions import partitions_up_to, size
+
+
+def spy_on_enumerate_ot(monkeypatch) -> list:
+    """Record the (shape, length) of every tableaux.enumerate_ot call."""
+    calls = []
+    original = tableaux.enumerate_ot
+
+    def spy(start, shape, length):
+        calls.append((shape, length))
+        return original(start, shape, length)
+
+    monkeypatch.setattr(tableaux, "enumerate_ot", spy)
+    return calls
+
+
+def cells(kmax, nmax):
+    return [(shape, size(shape) + 2 * n) for shape in partitions_up_to(kmax) for n in range(nmax + 1)]
+
+
+def test_count_and_weight_enumerate_each_cell_once(monkeypatch):
+    verify._walk_totals.cache_clear()
+    calls = spy_on_enumerate_ot(monkeypatch)
+    assert all(row.passed for row in verify.suite_count() + verify.suite_weight())
+    assert len(calls) == 48
+    assert calls == cells(4, 3)
+
+
+def test_a_suite_run_alone_enumerates_its_own_cells(monkeypatch):
+    verify._walk_totals.cache_clear()
+    calls = spy_on_enumerate_ot(monkeypatch)
+    assert all(row.passed for row in verify.suite_count(kmax=5, nmax=1))
+    assert calls == cells(5, 1)
+    # each run_suite call enumerates anew, with its own overrides
+    calls.clear()
+    for _ in range(2):
+        assert all(row.passed for row in verify.run_suite("weight", kmax=1, nmax=1))
+    assert calls == cells(1, 1) * 2
