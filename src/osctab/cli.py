@@ -302,25 +302,8 @@ def cmd_rs_roundtrip(args) -> RunReport:
     return RunReport("rs roundtrip", {"n": args.n}, outcome, {"checks": payload})
 
 
-# Rows per write: a JSON row is at most 203 bytes (n = 8), so a write stays under 13 KiB.
+# Walks per write of `enumerate`: at length 14 a write stays under 52 KiB.
 _ROWS_PER_WRITE = 64
-
-
-def _stats_rows(n: int) -> Iterator[list[tuple[str, int, int, int, str, int, int]]]:
-    """The seven table columns of each matching of [2n], in enumerate_matchings order.
-
-    One list per matchings.scan_matchings batch, so each is formatted in one go.
-    The scan is started here, so an n past its bound raises before any output.
-    """
-    from . import matchings
-
-    batches = matchings.scan_matchings(n)
-    area = cache(matchings.area)  # once per distinct word, 1,430 at n = 8
-    weights = [matchings.weight_of_alignments(n, al) for al in range(n * (n - 1) // 2 + 1)]
-    return (
-        [(text, cr, ne, al, word, area(word), weights[al]) for text, cr, ne, al, word in batch]
-        for batch in batches
-    )
 
 
 def _joined(rows: Iterator[str], sep: str) -> Iterator[str]:
@@ -332,31 +315,17 @@ def _joined(rows: Iterator[str], sep: str) -> Iterator[str]:
 
 
 def cmd_stats(args) -> RunReport | None:
+    from . import matchings
+
     # both formats stream: n = 8 means two million rows
+    pieces = matchings.stats_table(args.n, args.format)
     if args.format == "csv":
-        lines = chain.from_iterable(
-            [
-                f"{text},{cr},{ne},{al},{word},{area},{wt}\n"
-                for text, cr, ne, al, word, area, wt in batch
-            ]
-            for batch in _stats_rows(args.n)
-        )
         write = sys.stdout.write
         write("matching,cr,ne,al,dyck,area,wt\n")
-        for chunk in _joined(lines, ""):
-            write(chunk)
+        for piece in pieces:
+            write(piece)
         return None
-    # matching and word texts hold only digits, '-' and ';', which JSON leaves unescaped
-    rows = chain.from_iterable(
-        [
-            f'      {{\n        "matching": "{text}",\n        "cr": {cr},\n        "ne": {ne},\n'
-            f'        "al": {al},\n        "dyck": "{word}",\n        "area": {area},\n'
-            f'        "wt": {wt}\n      }}'
-            for text, cr, ne, al, word, area, wt in batch
-        ]
-        for batch in _stats_rows(args.n)
-    )
-    text = chain(['{\n    "rows": [\n'], _joined(rows, ",\n"), ["\n    ]\n  }"])
+    text = chain(['{\n    "rows": [\n'], pieces, ["\n    ]\n  }"])
     return RunReport("stats", {"n": args.n}, "pass", Streamed(text))
 
 

@@ -10,12 +10,13 @@ the matchings to the walks while preserving that projection.
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterator, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .errors import BoundExceededError, InvalidDyckWordError, ShapeMismatchError
 from .partitions import EMPTY, Partition, conjugate
-from .tableaux import OscillatingTableau, is_oscillating_tableau
+from .tableaux import OscillatingTableau
 
 PerfectMatching = tuple[tuple[int, int], ...]
 
@@ -82,6 +83,8 @@ def enumerate_matchings(n: int) -> Iterator[PerfectMatching]:
 
 ScanRow = tuple[str, int, int, int, str]
 Tails = dict[tuple[int, ...], list[ScanRow]]
+# a prefix's free set, its Dyck word so far and its running (cr, ne, al)
+State = tuple[tuple[int, ...], str, int, int, int]
 
 
 def scan_matchings(n: int) -> Iterator[list[ScanRow]]:
@@ -101,32 +104,41 @@ def scan_matchings(n: int) -> Iterator[list[ScanRow]]:
     built once per call and added to every prefix that leaves that set.
     At n = 7, 9,009 prefixes share 210 six-element sets (364 sets with
     the smaller ones the tables are built from); at n = 8, 135,135
-    prefixes share 462 (708).  On one Xeon core with Python 3.11, `stats`
-    computes its rows in about 0.2 s at n = 7 and 4 s at n = 8.  The bound
-    on n is checked when this is called, before the first batch is asked for.
+    prefixes share 462 (708).  On one Xeon core with Python 3.11 this
+    yields the 135,135 rows of n = 7 in about 0.1 s and the 2,027,025 of
+    n = 8 in about 1.3 s.  The bound on n is checked when this is called,
+    before the first batch is asked for.
     """
     _check_bound(n)
-    return _scan(list(range(1, 2 * n + 1)), 2 * n, {}, "", "", 0, 0, 0)
+    size = 2 * n
+    tails: Tails = {}
+    return (
+        [(text + t, cr + dcr, ne + dne, al + dal, word + w)
+         for t, dcr, dne, dal, w in _tail(free, size, tails)]
+        for text, (free, word, cr, ne, al) in _prefixes(size)
+    )
 
 
-def _scan(
-    free: list[int], size: int, tails: Tails, text: str, word: str, cr: int, ne: int, al: int
-) -> Iterator[list[ScanRow]]:
-    """The batches of scan_matchings below one prefix, which leaves `free`.
+def _prefixes(size: int) -> Iterator[tuple[str, State]]:
+    """Each prefix of scan_matchings, in order: its text and its State."""
+    return _prefixes_below(list(range(1, size + 1)), size, "", "", 0, 0, 0)
+
+
+def _prefixes_below(
+    free: list[int], size: int, text: str, word: str, cr: int, ne: int, al: int
+) -> Iterator[tuple[str, State]]:
+    """The prefixes below one that leaves `free`.
 
     text ends in ";" after each pair; word keeps its letters up to the
-    last opener, since the elements between two openers are closers.
+    last opener, since the elements between two openers are closers, and
+    a prefix's word runs up to its first free element.
     """
     if len(free) > 2 * TAIL_PAIRS:
         for a, b, dcr, dne, dal in _pairs(free, size):
-            yield from _scan(free, size, tails, f"{text}{a}-{b};", word.ljust(a - 1, "0") + "1",
-                             cr + dcr, ne + dne, al + dal)
+            yield from _prefixes_below(free, size, f"{text}{a}-{b};",
+                                       word.ljust(a - 1, "0") + "1", cr + dcr, ne + dne, al + dal)
         return
-    word = word.ljust(free[0] - 1 if free else size, "0")
-    yield [
-        (text + t, cr + dcr, ne + dne, al + dal, word + w)
-        for t, dcr, dne, dal, w in _tail(tuple(free), size, tails)
-    ]
+    yield text, (tuple(free), word.ljust(free[0] - 1 if free else size, "0"), cr, ne, al)
 
 
 def _pairs(free: list[int], size: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -181,6 +193,78 @@ def _completions(free: tuple[int, ...], size: int, tails: Tails) -> list[ScanRow
             for text, cr, ne, al, word in _tail(tuple(rest), size, tails)
         ]
     return out
+
+
+def _csv_row(text: str, cr: int, ne: int, al: int, word: str, area: int, wt: int) -> str:
+    return f"\0{text},{cr},{ne},{al},{word},{area},{wt}\n"
+
+
+def _json_row(text: str, cr: int, ne: int, al: int, word: str, area: int, wt: int) -> str:
+    # matching and word texts hold only digits, '-' and ';', which JSON leaves unescaped
+    return (
+        f'      {{\n        "matching": "\0{text}",\n        "cr": {cr},\n        "ne": {ne},\n'
+        f'        "al": {al},\n        "dyck": "{word}",\n        "area": {area},\n'
+        f'        "wt": {wt}\n      }}'
+    )
+
+
+# a format's row, with "\0" where the prefix text goes, and the text between rows
+STATS_FORMATS = {"csv": (_csv_row, ""), "json": (_json_row, ",\n")}
+
+# scan batches per piece of stats_table: 75 rows, under 16 KiB of JSON at n = 8
+BATCHES_PER_PIECE = 5
+
+
+def stats_table(n: int, fmt: str) -> Iterator[str]:
+    r"""The rows of the `stats` table in fmt ("csv" or "json"), in scan_matchings order.
+
+    A row holds (text, cr, ne, al, word) of scan_matchings, then the
+    word's area and the weight_of_alignments.  CSV rows end in "\n"; JSON
+    rows are objects indented as `stats` reports them, with ",\n" between
+    rows (also at the start of every piece but the first).  Each piece
+    is BATCHES_PER_PIECE batches, so a writer makes few writes.
+
+    A batch's rows after its prefix text depend only on the prefix's
+    State, so each State's rows are formatted once, into one string with
+    "\0" where the prefix text goes, and every batch is that string with
+    its prefix put in.  At n = 6 the 693 prefixes reach 497 States, at
+    n = 7 the 9,009 reach 3,290 and at n = 8 the 135,135 reach 19,187, so
+    the strings held grow with the States.  The area is computed once
+    per distinct word.  The bound on n is checked when this is called.
+    """
+    _check_bound(n)
+    return _stats_pieces(n, *STATS_FORMATS[fmt])
+
+
+def _stats_pieces(n: int, row: Callable[..., str], sep: str) -> Iterator[str]:
+    size = 2 * n
+    tails: Tails = {}
+    blocks: dict[State, str] = {}
+    areas: dict[str, int] = {}
+    shared: dict = {}
+    weights = [weight_of_alignments(n, al) for al in range(n * (n - 1) // 2 + 1)]
+
+    def block(state: State) -> str:
+        text = blocks.get(state)
+        if text is None:
+            free, word, cr, ne, al = state
+            rows = []
+            for t, dcr, dne, dal, w in _tail(free, size, tails):
+                full = word + w
+                if full not in areas:
+                    areas[full] = area(full)
+                rows.append(row(t, cr + dcr, ne + dne, al + dal, full, areas[full],
+                                weights[al + dal]))
+            # states share free sets and words: the keys hold one copy of each (0.45 MiB at n = 7)
+            key = (shared.setdefault(free, free), shared.setdefault(word, word), cr, ne, al)
+            text = blocks[key] = sep.join(rows)
+        return text
+
+    batches = (block(state).replace("\0", text) for text, state in _prefixes(size))
+    lead = ""
+    while group := list(islice(batches, BATCHES_PER_PIECE)):
+        yield lead + sep.join(group)
+        lead = sep
 
 
 def partner_array(matching: PerfectMatching) -> list[int]:
@@ -252,12 +336,7 @@ def dyck_of_tableau(tableau: OscillatingTableau) -> str:
     Only closed walks (empty start and end, hence even length) project
     to balanced words; anything else raises ShapeMismatchError.
     """
-    if not is_oscillating_tableau(tableau):
-        raise ShapeMismatchError("not a single-box walk")
-    if tableau[0] != EMPTY or tableau[-1] != EMPTY or len(tableau) % 2 == 0:
-        raise ShapeMismatchError("walk must start and end at the empty partition")
-    # a validated step adds a box exactly when it is the larger tuple
-    return "".join("1" if cur > prev else "0" for prev, cur in zip(tableau, tableau[1:]))
+    return "".join("1" if sign > 0 else "0" for _, sign in _walk_steps(tableau))
 
 
 def area(word: str) -> int:
@@ -296,16 +375,54 @@ def prefix_stats(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(at_zeros), tuple(heights)
 
 
-def _removed_corner(prev: Partition, cur: Partition) -> int:
-    """Row index where cur = prev minus one box."""
-    for r in range(len(prev)):
-        if r >= len(cur) or cur[r] < prev[r]:
-            return r
-    raise ShapeMismatchError(f"{cur} is not {prev} minus a box")
+def _box_step(prev: Partition, cur: Partition) -> tuple[int, int] | None:
+    """(row, 1) when cur is prev plus a box in that row, (row, -1) when minus one.
+
+    None for any other pair: the moves tableaux.is_cover accepts, in
+    either direction, decided the same way.
+    """
+    rows = len(prev)
+    if len(cur) == rows + 1:
+        return (rows, 1) if cur[-1] == 1 and cur[:-1] == prev else None
+    if len(cur) == rows - 1:
+        return (rows - 1, -1) if prev[-1] == 1 and prev[:-1] == cur else None
+    if len(cur) == rows:
+        for row in range(rows):
+            if cur[row] != prev[row]:
+                sign = cur[row] - prev[row]
+                if sign in (1, -1) and cur[row + 1 :] == prev[row + 1 :]:
+                    return row, sign
+                return None
+    return None
+
+
+def _walk_steps(tableau: OscillatingTableau) -> list[tuple[int, int]]:
+    """Each step of a closed walk as its _box_step, validating the walk on the way.
+
+    Raises ShapeMismatchError for an empty walk or one with a step that
+    is not a single-box move, then for one that does not start and end
+    at the empty partition.
+    """
+    if not tableau:
+        raise ShapeMismatchError("not a single-box walk")
+    steps = []
+    for prev, cur in zip(tableau, tableau[1:]):
+        step = _box_step(prev, cur)
+        if step is None:
+            raise ShapeMismatchError("not a single-box walk")
+        steps.append(step)
+    if tableau[0] != EMPTY or tableau[-1] != EMPTY:
+        raise ShapeMismatchError("walk must start and end at the empty partition")
+    return steps
 
 
 def tableau_to_matching(tableau: OscillatingTableau) -> PerfectMatching:
-    """Invert the row-insertion bijection on a closed walk.
+    """Invert the row-insertion bijection on a closed walk (see _unwalk)."""
+    return _unwalk(_walk_steps(tableau))
+
+
+def _unwalk(steps: list[tuple[int, int]]) -> PerfectMatching:
+    """The matching whose walk makes these steps, each (row, 1 or -1).
 
     A partial standard filling tracks the walk: a box added at step i
     writes entry i into the new cell; a box removed at step i ejects its
@@ -313,21 +430,14 @@ def tableau_to_matching(tableau: OscillatingTableau) -> PerfectMatching:
     travelling value), and the value leaving the top row is the opener
     paired with i.
     """
-    if not is_oscillating_tableau(tableau):
-        raise ShapeMismatchError("not a single-box walk")
-    if tableau[0] != EMPTY or tableau[-1] != EMPTY:
-        raise ShapeMismatchError("walk must start and end at the empty partition")
     filling: list[list[int]] = []
     pairs: list[tuple[int, int]] = []
-    for i in range(1, len(tableau)):
-        prev, cur = tableau[i - 1], tableau[i]
-        if cur > prev:  # a validated step that adds a box
-            row = _removed_corner(cur, prev)
+    for i, (row, sign) in enumerate(steps, 1):
+        if sign > 0:
             if row == len(filling):
                 filling.append([])
             filling[row].append(i)
         else:
-            row = _removed_corner(prev, cur)
             value = filling[row].pop()
             if not filling[row]:
                 filling.pop()
@@ -338,40 +448,67 @@ def tableau_to_matching(tableau: OscillatingTableau) -> PerfectMatching:
     return as_matching(pairs)
 
 
-def matching_to_tableau(matching: PerfectMatching) -> OscillatingTableau:
-    """Row-insertion bijection from matchings to closed walks.
+def _insertion_cells(matching: PerfectMatching) -> list[tuple[int, int, int]]:
+    """Step i of the matching's walk as (row, column, 1 or -1), the cell it adds or removes.
 
     Scanning positions from 2n down to 1: a closer inserts its opener
     into the filling by standard row bumping, an opener deletes its own
     entry, which at that moment is the maximum and sits in a corner.
-    The recorded shapes, reversed, are the walk; its projection to a
-    binary word equals the matching's opener/closer word.
+    Read from 1 up, an insertion is the walk removing its cell and a
+    deletion the walk adding it.
     """
     partner = {a: b for a, b in matching} | {b: a for a, b in matching}
     filling: list[list[int]] = []
-    shapes: list[Partition] = [EMPTY]
+    cells: list[tuple[int, int, int]] = []
     for i in range(2 * len(matching), 0, -1):
         if partner[i] < i:
             value = partner[i]
-            for row in filling:
-                idx = bisect_right(row, value)
-                if idx == len(row):
+            for r, row in enumerate(filling):
+                col = bisect_right(row, value)
+                if col == len(row):
                     row.append(value)
                     break
-                value, row[idx] = row[idx], value
+                value, row[col] = row[col], value
             else:
+                r, col = len(filling), 0
                 filling.append([value])
+            cells.append((r, col, -1))
         else:
             for r in range(len(filling) - 1, -1, -1):
-                if filling[r] and filling[r][-1] == i:
-                    filling[r].pop()
-                    if not filling[r]:
+                row = filling[r]
+                if row and row[-1] == i:
+                    col = len(row) - 1
+                    row.pop()
+                    if not row:
                         filling.pop()
                     break
             else:
                 raise RuntimeError(f"entry {i} is not a removable corner")
-        shapes.append(tuple(len(row) for row in filling))
-    return tuple(reversed(shapes))
+            cells.append((r, col, 1))
+    cells.reverse()
+    return cells
+
+
+def matching_to_tableau(matching: PerfectMatching) -> OscillatingTableau:
+    """Row-insertion bijection from matchings to closed walks (see _insertion_cells).
+
+    The walk's projection to a binary word equals the matching's
+    opener/closer word.
+    """
+    lengths: list[int] = []
+    walk: list[Partition] = [EMPTY]
+    for row, col, sign in _insertion_cells(matching):
+        if sign > 0:
+            if row == len(lengths):
+                lengths.append(1)
+            else:
+                lengths[row] += 1
+        elif col:
+            lengths[row] = col
+        else:
+            lengths.pop()
+        walk.append(tuple(lengths))
+    return tuple(walk)
 
 
 def weight_of_alignments(n: int, alignments: int) -> int:
@@ -390,8 +527,13 @@ def conjugate_tableau(tableau: OscillatingTableau) -> OscillatingTableau:
 
 
 def conjugate_matching(matching: PerfectMatching) -> PerfectMatching:
-    """Stepwise conjugation transported through the insertion bijection."""
-    return tableau_to_matching(conjugate_tableau(matching_to_tableau(matching)))
+    """Stepwise conjugation transported through the insertion bijection.
+
+    The conjugate walk adds or removes at (column, row) each box the
+    walk adds or removes at (row, column), so the inverse insertion run
+    on the columns gives the image without building either walk.
+    """
+    return _unwalk([(col, sign) for _, col, sign in _insertion_cells(matching)])
 
 
 def permutation_bridge(matching: PerfectMatching) -> tuple[int, ...]:

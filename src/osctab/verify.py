@@ -202,8 +202,9 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
     """Pairwise statistics, area identities, and distribution facts.
 
     The per-matching (cr, ne, al) and Dyck word come from
-    matchings.scan_matchings, the engine `stats` prints; the identities
-    hold them against the area and heights counted from the word alone.
+    matchings.scan_matchings, which reads the prefix walk that `stats`
+    prints from; the identities hold them against the area and heights
+    counted from the word alone.
     tests/test_matchings.py::test_scan_rows_equal_enumerated_stats holds
     the scan equal to the per-matching classifier (kernels.matching_stats,
     which matchings.stats wraps) for n <= 6.
@@ -241,10 +242,10 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
                 Fraction(comb(n, 2), 3),
             )
         )
+    area = cache(matchings.area)  # once per distinct word: 64 for the 1,069 walks
     for n in range(1, 6):
         wt_ok = all(
-            tableaux.weight(t)
-            == 2 * matchings.area(matchings.dyck_of_tableau(t)) + n
+            tableaux.weight(t) == 2 * area(matchings.dyck_of_tableau(t)) + n
             for t in tableaux.enumerate_ot((), (), 2 * n)
         )
         rows.append(_row(f"wt = 2 area + n on walks, n={n}", wt_ok, True))

@@ -227,6 +227,14 @@ def test_stats_bytes_equal_the_row_oracle(capsys, n):
     assert timed == json.dumps({**payload, "elapsed_seconds": elapsed}, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stats_n7_bytes_equal_the_golden(capsys, fmt):
+    # past the row oracle's n <= 5, where a state key missing a field would show
+    code, out, err = run_cli(capsys, "stats", "--n", "7", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS["stats_n7_sha256"][fmt]
+
+
 class WriteRecorder:
     """Stands in for sys.stdout and keeps every write."""
 
@@ -250,7 +258,7 @@ def test_stats_streams_in_bounded_writes(monkeypatch, fmt):
     text = "".join(out.writes)
     rows = text.splitlines()[1:] if fmt == "csv" else json.loads(text)["details"]["rows"]
     assert len(rows) == 10395
-    # scan batches of 15 rows are grouped into writes of 64 rows, besides the fixed
+    # scan batches of 15 rows are grouped into writes of at least 64 rows, besides the fixed
     # pieces: the CSV header; the JSON report head, rows opener, rows closer and report end
     fixed = 1 if fmt == "csv" else 4
     assert len(out.writes) <= -(-len(rows) // 64) + fixed

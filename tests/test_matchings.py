@@ -132,6 +132,35 @@ def test_scan_builds_each_free_set_once(monkeypatch, n):
         assert {free for free in built if len(free) == 2 * matchings.TAIL_PAIRS} == tail_sets
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stats_table_formats_each_state_once(monkeypatch, fmt):
+    n = 6
+    prefixes = set()
+    states = set()
+    for m in enumerate_matchings(n):
+        prefix = m[: n - matchings.TAIL_PAIRS]
+        used = {x for pair in prefix for x in pair}
+        free = tuple(x for x in range(1, 2 * n + 1) if x not in used)
+        openers = {a for a, _ in prefix}
+        word = "".join("1" if x in openers else "0" for x in range(1, free[0]))
+        prefixes.add(prefix)
+        states.add((free, word, *brute_stats(prefix)))
+    assert (len(prefixes), len(states)) == (693, 497)
+    formatted = Counter()
+    row, sep = matchings.STATS_FORMATS[fmt]
+
+    def spy(text, cr, ne, al, word, area, wt):
+        formatted[text, cr, ne, al, word] += 1
+        return row(text, cr, ne, al, word, area, wt)
+
+    monkeypatch.setitem(matchings.STATS_FORMATS, fmt, (spy, sep))
+    for _ in matchings.stats_table(n, fmt):
+        pass
+    # 15 completions of each state's free set, each formatted once
+    assert sum(formatted.values()) == 15 * len(states)
+    assert set(formatted.values()) == {1}
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_matching_items_equal_scan_rows(n):
     # the scan rows give the homomesy items, in the same order
@@ -274,9 +303,27 @@ def test_conjugate_tableau_examples():
 
 
 def test_conjugate_matching_involution():
-    for n in range(1, 5):
+    for n in range(6):
         for m in enumerate_matchings(n):
-            assert conjugate_matching(conjugate_matching(m)) == m
+            image = conjugate_matching(m)
+            # the oracle: conjugate the walk step by step
+            assert image == tableau_to_matching(conjugate_tableau(matching_to_tableau(m)))
+            assert conjugate_matching(image) == m
+
+
+@pytest.mark.parametrize(
+    "walk, message",
+    [
+        ((), "not a single-box walk"),
+        (((1,), (2,), (2, 1), (1,)), "not a single-box walk"),  # open and a two-box step
+        (((), (1,), (2,), (1,)), "walk must start and end at the empty partition"),
+        (((1,), (2,), (1,)), "walk must start and end at the empty partition"),
+    ],
+)
+def test_walk_rejections_keep_their_messages(walk, message):
+    for decode in (tableau_to_matching, dyck_of_tableau):
+        with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+            decode(walk)
 
 
 def test_permutation_bridge_examples():
