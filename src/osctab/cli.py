@@ -27,12 +27,12 @@ import os
 import sys
 import time
 from functools import cache
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import OsctabError
 from .partitions import format_partition, parse_partition, size
-from .util import max_enumeration_size
+from .util import joined, max_enumeration_size
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -148,7 +148,7 @@ def cmd_enumerate(args) -> RunReport:
     )
     text = chain(
         [f'{{\n    "count": "{count}",\n    "walks": [' + ("\n" if count else "")],
-        _joined(walks, ",\n"),
+        joined(walks, ",\n", _ROWS_PER_WRITE),
         ["\n    ]\n  }" if count else "]\n  }"],
     )
     return RunReport(
@@ -304,14 +304,6 @@ def cmd_rs_roundtrip(args) -> RunReport:
 
 # Walks per write of `enumerate`: at length 14 a write stays under 52 KiB.
 _ROWS_PER_WRITE = 64
-
-
-def _joined(rows: Iterator[str], sep: str) -> Iterator[str]:
-    """sep.join(rows), _ROWS_PER_WRITE rows at a time."""
-    lead = ""
-    while batch := list(islice(rows, _ROWS_PER_WRITE)):
-        yield lead + sep.join(batch)
-        lead = sep
 
 
 def cmd_stats(args) -> RunReport | None:

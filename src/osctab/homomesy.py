@@ -28,6 +28,7 @@ from .matchings import (
 )
 from .partitions import Partition, conjugate, format_partition, size
 from .tableaux import (
+    average_weight_formula,
     count_formula,
     enumerate_ot,
     format_tableau,
@@ -132,12 +133,9 @@ def homomesy_verify(partition: TriplePartition, items: Sequence[WeightedItem]) -
 
 
 def orbit_sum_target_tableaux(k: int, n: int) -> int:
-    """Required weight sum of a size-3 orbit: (4n^2 + 3k^2 + 8kn + 2n + 3k) / 2."""
-    numerator = 4 * n * n + 3 * k * k + 8 * k * n + 2 * n + 3 * k
-    half, remainder = divmod(numerator, 2)
-    if remainder:
-        raise RuntimeError(f"orbit-sum numerator is odd for k={k}, n={n}")
-    return half
+    """Required weight sum of a size-3 orbit: three times the average weight."""
+    # 4n^2 + 8kn + 2n + 3k(k + 1) is even, so three sixths of it is whole
+    return int(3 * average_weight_formula(k, n))
 
 
 def orbit_sum_target_matchings(n: int) -> int:

@@ -67,9 +67,6 @@ class LaurentPolynomial:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -10,13 +10,13 @@ the matchings to the walks while preserving that projection.
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .errors import BoundExceededError, InvalidDyckWordError, ShapeMismatchError
-from .partitions import EMPTY, Partition, conjugate
+from .partitions import EMPTY, Partition, box_step, conjugate
 from .tableaux import OscillatingTableau
+from .util import joined
 
 PerfectMatching = tuple[tuple[int, int], ...]
 
@@ -261,10 +261,7 @@ def _stats_pieces(n: int, row: Callable[..., str], sep: str) -> Iterator[str]:
         return text
 
     batches = (block(state).replace("\0", text) for text, state in _prefixes(size))
-    lead = ""
-    while group := list(islice(batches, BATCHES_PER_PIECE)):
-        yield lead + sep.join(group)
-        lead = sep
+    yield from joined(batches, sep, BATCHES_PER_PIECE)
 
 
 def partner_array(matching: PerfectMatching) -> list[int]:
@@ -375,39 +372,19 @@ def prefix_stats(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(at_zeros), tuple(heights)
 
 
-def _box_step(prev: Partition, cur: Partition) -> tuple[int, int] | None:
-    """(row, 1) when cur is prev plus a box in that row, (row, -1) when minus one.
-
-    None for any other pair: the moves tableaux.is_cover accepts, in
-    either direction, decided the same way.
-    """
-    rows = len(prev)
-    if len(cur) == rows + 1:
-        return (rows, 1) if cur[-1] == 1 and cur[:-1] == prev else None
-    if len(cur) == rows - 1:
-        return (rows - 1, -1) if prev[-1] == 1 and prev[:-1] == cur else None
-    if len(cur) == rows:
-        for row in range(rows):
-            if cur[row] != prev[row]:
-                sign = cur[row] - prev[row]
-                if sign in (1, -1) and cur[row + 1 :] == prev[row + 1 :]:
-                    return row, sign
-                return None
-    return None
-
-
 def _walk_steps(tableau: OscillatingTableau) -> list[tuple[int, int]]:
-    """Each step of a closed walk as its _box_step, validating the walk on the way.
+    """Each step of a closed walk as its box_step, validating the walk on the way.
 
     Raises ShapeMismatchError for an empty walk or one with a step that
-    is not a single-box move, then for one that does not start and end
-    at the empty partition.
+    partitions.box_step refuses (not one box, or onto a tuple that is
+    not a partition), then for one that does not start and end at the
+    empty partition.
     """
     if not tableau:
         raise ShapeMismatchError("not a single-box walk")
     steps = []
     for prev, cur in zip(tableau, tableau[1:]):
-        step = _box_step(prev, cur)
+        step = box_step(prev, cur)
         if step is None:
             raise ShapeMismatchError("not a single-box walk")
         steps.append(step)

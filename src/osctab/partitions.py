@@ -89,6 +89,33 @@ def covers_down(partition: Partition) -> list[Partition]:
     return result
 
 
+def box_step(prev: Partition, cur: Partition) -> tuple[int, int] | None:
+    """(row, 1) when cur is prev plus a box in that row, (row, -1) when minus one.
+
+    prev must be a partition; the step is returned only when cur is one
+    too: a box added to row r needs row r-1 to be at least as long
+    afterwards, and a box removed from row r needs row r+1 to be no
+    longer afterwards.  None for any other pair.
+    """
+    rows = len(prev)
+    if len(cur) == rows + 1:
+        return (rows, 1) if cur[-1] == 1 and cur[:-1] == prev else None
+    if len(cur) == rows - 1:
+        return (rows - 1, -1) if prev[-1] == 1 and prev[:-1] == cur else None
+    if len(cur) != rows:
+        return None
+    for row, (p, c) in enumerate(zip(prev, cur)):
+        if c != p:
+            if cur[row + 1 :] != prev[row + 1 :]:
+                return None
+            if c == p + 1:
+                return (row, 1) if row == 0 or prev[row - 1] >= c else None
+            if c == p - 1:
+                return (row, -1) if c >= (prev[row + 1] if row + 1 < rows else 1) else None
+            return None
+    return None
+
+
 def conjugate(partition: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not partition:

@@ -18,6 +18,7 @@ from .laurent import LaurentPolynomial
 from .partitions import (
     EMPTY,
     Partition,
+    box_step,
     cover_distance,
     covers_down,
     covers_up,
@@ -32,31 +33,17 @@ from .util import double_factorial, max_enumeration_size
 OscillatingTableau = tuple[Partition, ...]
 
 
-def is_cover(small: Partition, big: Partition) -> bool:
-    """True when big is small plus exactly one box.
-
-    Decided by the row counts and the first row that differs, without
-    sizes: with as many rows, that row grows by one and the rest agree;
-    with one row more, the new last row is 1 and the rest agree.
-    """
-    if len(big) == len(small) + 1:
-        return big[-1] == 1 and big[:-1] == small
-    if len(big) != len(small):
-        return False
-    for row, (s, b) in enumerate(zip(small, big)):
-        if s != b:
-            return b == s + 1 and big[row + 1 :] == small[row + 1 :]
-    return False
-
-
 def is_oscillating_tableau(steps: Sequence[Partition]) -> bool:
-    """True when consecutive entries are single-box moves in either direction."""
+    """True when the first entry is a partition and each step is a partitions.box_step.
+
+    Each such step keeps a partition a partition, so then every entry is one.
+    """
     if not steps:
         return False
-    for prev, cur in zip(steps, steps[1:]):
-        if not (is_cover(prev, cur) or is_cover(cur, prev)):
-            return False
-    return True
+    first = list(steps[0])
+    if first != sorted(first, reverse=True) or min(first, default=1) < 1:
+        return False
+    return all(box_step(prev, cur) for prev, cur in zip(steps, steps[1:]))
 
 
 def weight(tableau: OscillatingTableau) -> int:
@@ -165,19 +152,24 @@ def average_size_formula(k: int, n: int) -> Fraction:
     return average_weight_formula(k, n) / (2 * n + k + 1)
 
 
+def walk_totals(start: Partition, shape: Partition, length: int) -> tuple[int, int]:
+    """(count, total weight) of the walks enumerate_ot yields, in one pass."""
+    count = total = 0
+    for tableau in enumerate_ot(start, shape, length):
+        count += 1
+        total += weight(tableau)
+    return count, total
+
+
 def average_weight_enumerated(
     start: Partition, shape: Partition, length: int
 ) -> Fraction:
-    """Exact average weight over every enumerated walk.
+    """Exact average weight over every enumerated walk (walk_totals).
 
     Raises EmptyEnumerationError when no walk exists (parity or size
     mismatch between the endpoints and the length).
     """
-    total = 0
-    count = 0
-    for tableau in enumerate_ot(start, shape, length):
-        total += weight(tableau)
-        count += 1
+    count, total = walk_totals(start, shape, length)
     if count == 0:
         raise EmptyEnumerationError(
             f"no walks of length {length} from {format_partition(start)} "

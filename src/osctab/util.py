@@ -1,6 +1,8 @@
-"""Small arithmetic helpers used by several modules."""
+"""Small arithmetic helpers used by several modules, and the write batcher."""
 
 import os
+from itertools import islice
+from typing import Iterator
 
 DEFAULT_MAX_ENUM = 10**7  # enumeration cap when OSCTAB_MAX_ENUM is unset
 
@@ -32,3 +34,11 @@ def max_enumeration_size() -> int:
     if value <= 0:
         raise ValueError("OSCTAB_MAX_ENUM must be positive")
     return value
+
+
+def joined(pieces: Iterator[str], sep: str, per_write: int) -> Iterator[str]:
+    """sep.join(pieces), per_write pieces at a time, so a writer makes few writes."""
+    lead = ""
+    while batch := list(islice(pieces, per_write)):
+        yield lead + sep.join(batch)
+        lead = sep

@@ -24,7 +24,7 @@ from .homomesy import (
     tableau_items,
 )
 from .laurent import LaurentPolynomial
-from .partitions import EMPTY, Partition, format_partition, num_syt, partitions_up_to, size
+from .partitions import EMPTY, format_partition, num_syt, partitions_up_to, size
 
 
 class CheckRow(NamedTuple):
@@ -38,30 +38,22 @@ def _row(name: str, lhs, rhs) -> CheckRow:
     return CheckRow(name, lhs == rhs, str(lhs), str(rhs))
 
 
-@cache
-def _walk_totals(shape: Partition, length: int) -> tuple[int, int]:
-    """(count, total weight) of the length-`length` walks from the empty partition to shape.
-
-    One tableaux.enumerate_ot pass per cell, shared by suite_count and
-    suite_weight; run_suite clears the cache, so each run enumerates anew.
-    """
-    count = total = 0
-    for tableau in tableaux.enumerate_ot((), shape, length):
-        count += 1
-        total += tableaux.weight(tableau)
-    return count, total
+# one tableaux.walk_totals pass per cell, shared by suite_count and
+# suite_weight; run_suite clears the cache, so each run enumerates anew
+_walk_totals = cache(tableaux.walk_totals)
 
 
 def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
     """Enumerated walk counts against C(2n+k, k) (2n-1)!! f(shape).
 
-    The counts come from _walk_totals, the brute-force walk enumeration.
+    The counts come from tableaux.walk_totals, the brute-force walk
+    enumeration, through the per-run cache _walk_totals.
     """
     rows = []
     for shape in partitions_up_to(kmax):
         k = size(shape)
         for n in range(nmax + 1):
-            enumerated, _ = _walk_totals(shape, k + 2 * n)
+            enumerated, _ = _walk_totals(EMPTY, shape, k + 2 * n)
             rows.append(
                 _row(
                     f"count shape={format_partition(shape)} n={n}",
@@ -75,14 +67,15 @@ def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
 def suite_weight(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
     """Enumerated average weights against the quadratic closed form.
 
-    The averages are total over count from _walk_totals, the same
-    enumeration suite_count reads, so one run of both walks each cell once.
+    The averages are total over count from tableaux.walk_totals, through
+    the per-run cache _walk_totals that suite_count reads too, so one run
+    of both walks each cell once.
     """
     rows = []
     for shape in partitions_up_to(kmax):
         k = size(shape)
         for n in range(nmax + 1):
-            count, total = _walk_totals(shape, k + 2 * n)
+            count, total = _walk_totals(EMPTY, shape, k + 2 * n)
             enumerated = Fraction(total, count)
             formula = tableaux.average_weight_formula(k, n)
             rows.append(

@@ -318,6 +318,9 @@ def test_conjugate_matching_involution():
         (((1,), (2,), (2, 1), (1,)), "not a single-box walk"),  # open and a two-box step
         (((), (1,), (2,), (1,)), "walk must start and end at the empty partition"),
         (((1,), (2,), (1,)), "walk must start and end at the empty partition"),
+        # closed walks through (1, 2) and (0, 1), which are not partitions
+        (((), (1,), (1, 1), (1, 2), (1, 1), (1,), ()), "not a single-box walk"),
+        (((), (1,), (2,), (2, 1), (1, 1), (0, 1), (1, 1), (1,), ()), "not a single-box walk"),
     ],
 )
 def test_walk_rejections_keep_their_messages(walk, message):

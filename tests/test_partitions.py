@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 from math import factorial
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from osctab.errors import BoundExceededError, PartitionParseError
 from osctab.partitions import (
     as_partition,
+    box_step,
     conjugate,
     covers_down,
     covers_up,
@@ -81,6 +83,43 @@ def test_covers_duality():
             assert p in covers_up(q)
         for q in covers_up(p):
             assert p in covers_down(q)
+
+
+def test_box_step_equals_the_size_definition():
+    def covers(small, big):
+        rowwise = len(big) >= len(small) and all(b >= s for s, b in zip(small, big))
+        return size(big) == size(small) + 1 and rowwise
+
+    def box_row(small, big):  # the first row where the two differ
+        return next(r for r, (s, b) in enumerate(zip(small + (0,), big)) if s != b)
+
+    parts = list(partitions_up_to(7))
+    kinds = set()
+    for prev in parts:
+        for cur in parts:
+            expected = None
+            if covers(prev, cur):
+                expected = (box_row(prev, cur), 1)
+            elif covers(cur, prev):
+                expected = (box_row(cur, prev), -1)
+            assert box_step(prev, cur) == expected, (prev, cur)
+            kinds.add((len(cur) - len(prev), size(cur) - size(prev), expected is not None))
+    # steps of equal length and of one row more or fewer; longer by two; sizes not adjacent
+    assert {(0, 1, True), (1, 1, True), (0, -1, True), (-1, -1, True),
+            (2, 2, False), (0, 2, False), (0, 0, False)} <= kinds
+
+
+def test_box_step_lands_only_on_partitions():
+    # every tuple near prev, partition or not: parts 0..prev[0]+1, at most one row more
+    for prev in partitions_up_to(5):
+        top = (prev[0] if prev else 0) + 1
+        accepted = set()
+        for rows in range(len(prev) + 2):
+            for cur in product(range(top + 1), repeat=rows):
+                if box_step(prev, cur) is not None:
+                    assert 0 not in cur and list(cur) == sorted(cur, reverse=True), (prev, cur)
+                    accepted.add(cur)
+        assert accepted == set(covers_up(prev) + covers_down(prev))
 
 
 def test_conjugate_examples():

@@ -26,7 +26,6 @@ from osctab.tableaux import (
     count_formula,
     enumerate_ot,
     format_tableau,
-    is_cover,
     is_oscillating_tableau,
     parse_tableau,
     skew_denominator_scan,
@@ -66,25 +65,24 @@ def test_enumerated_walks_are_valid():
                 assert len(walk) == length + 1
 
 
-def test_is_cover_equals_the_size_definition():
-    parts = list(partitions_up_to(7))
-    kinds = set()
-    for small in parts:
-        for big in parts:
-            rowwise = len(big) >= len(small) and all(b >= s for s, b in zip(small, big))
-            expected = size(big) == size(small) + 1 and rowwise
-            assert is_cover(small, big) == expected, (small, big)
-            kinds.add((len(big) - len(small), size(big) - size(small), expected))
-    # covers of equal length and of one more row; longer by two; sizes not adjacent
-    assert {(0, 1, True), (1, 1, True), (2, 2, False), (0, 2, False), (0, 0, False)} <= kinds
-
-
 @pytest.mark.parametrize("text", ["-|2|-", "-|1|2|1,1|1|-", "-|1|1|-", "-|1|2,1|1|-"])
 def test_walks_with_a_step_that_is_not_one_box_are_rejected(text):
     steps = tuple(parse_partition(piece) for piece in text.split("|"))
     assert not is_oscillating_tableau(steps)
     with pytest.raises(ShapeMismatchError):
         parse_tableau(text)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        ((), (1,), (1, 1), (1, 2), (1, 1), (1,), ()),
+        ((), (1,), (2,), (2, 1), (1, 1), (0, 1), (1, 1), (1,), ()),
+        ((0, 1), (1, 1)),
+    ],
+)
+def test_walks_through_a_tuple_that_is_not_a_partition_are_rejected(steps):
+    assert not is_oscillating_tableau(steps)
 
 
 def test_weight_examples():
