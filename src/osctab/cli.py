@@ -327,22 +327,15 @@ def cmd_homomesy(args) -> RunReport:
     if args.shape is not None and args.target_set == "matchings":
         raise OsctabError("--shape applies only to --target-set tableaux")
     shape_text = "-" if args.shape is None else args.shape  # echoed as given, "-" if not
+    budgets = {
+        "node_budget": args.budget_nodes,
+        "time_budget": args.budget_seconds,
+        "conjugation_closed": args.conjugation_closed,
+    }
     if args.target_set == "matchings":
-        result = homomesy.search_matchings(
-            args.n,
-            node_budget=args.budget_nodes,
-            time_budget=args.budget_seconds,
-            conjugation_closed=args.conjugation_closed,
-        )
+        result = homomesy.search_matchings(args.n, **budgets)
     else:
-        shape = parse_partition(shape_text)
-        result = homomesy.search_tableaux(
-            shape,
-            args.n,
-            node_budget=args.budget_nodes,
-            time_budget=args.budget_seconds,
-            conjugation_closed=args.conjugation_closed,
-        )
+        result = homomesy.search_tableaux(parse_partition(shape_text), args.n, **budgets)
     details: dict[str, Any] = {
         "statistic": "alignments" if args.target_set == "matchings" else "weight",
         "target": str(result.target),

@@ -10,11 +10,14 @@ budget; it reports a certificate, a proof of infeasibility (the space
 was exhausted), or budget exhaustion, and never claims more.  The
 kernel names each outcome as reports print it (kernels.STATUS_*), and
 the result carries that name unchanged.  A certificate is reported
-only after homomesy_verify accepts it.
+only after homomesy_verify accepts it.  The search works on item
+positions; item texts are formatted only to build the items, and a
+conjugation-closed search takes each item's mate from the enumerated
+objects.
 """
 
 import time
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import CoverageError, NotDivisibleByThreeError, ShapeMismatchError
@@ -23,18 +26,18 @@ from .matchings import (
     conjugate_tableau,
     enumerate_matchings,
     format_matching,
-    parse_matching,
     stats,
 )
 from .partitions import Partition, conjugate, format_partition, size
 from .tableaux import (
     average_weight_formula,
+    cap_exceeded,
     count_formula,
     enumerate_ot,
     format_tableau,
-    parse_tableau,
     weight,
 )
+from .util import max_enumeration_size
 
 WeightedItem = tuple[str, int]
 
@@ -69,33 +72,33 @@ def triple_partition_search(
     target: int,
     node_budget: int,
     time_budget: float,
-    mate: Optional[dict[str, str]],
+    mate: Optional[Sequence[int]],
 ) -> SearchResult:
     """Partition the items into triples of value sum `target`, if possible.
 
-    With a `mate` mapping only triples closed under it are allowed; an
-    identifier it leaves out is its own mate.  Raises ValueError when the
-    identifiers repeat, or when the mapping leads outside the item set or
-    is not an involution.  The search is deterministic: identical input
-    yields the identical certificate and node count.  It stops after
-    `node_budget` attempted triples, or after `time_budget` seconds when
-    that is positive; a budget-exhausted result reports the nodes it
-    attempted, at most `node_budget`.  Raises RuntimeError if
-    homomesy_verify rejects the certificate the kernel returned.
+    With a `mate`, a sequence of positions, only triples closed under
+    i -> mate[i] are allowed.  Raises ValueError when the identifiers
+    repeat, or when `mate` is not an involution on range(len(items)): a
+    wrong length, an entry out of range, or mate[mate[i]] != i.  The
+    search is deterministic: identical input yields the identical
+    certificate and node count.  It stops after `node_budget` attempted
+    triples, or after `time_budget` seconds when that is positive; a
+    budget-exhausted result reports the nodes it attempted, at most
+    `node_budget`.  Raises RuntimeError if homomesy_verify rejects the
+    certificate the kernel returned.
     """
-    if len(items) % 3:
-        raise NotDivisibleByThreeError(f"{len(items)} items cannot be split into triples")
-    index = {identifier: i for i, (identifier, _) in enumerate(items)}
-    if len(index) != len(items):
+    m = len(items)
+    if m % 3:
+        raise NotDivisibleByThreeError(f"{m} items cannot be split into triples")
+    if len({identifier for identifier, _ in items}) != m:
         raise ValueError("item identifiers must be distinct")
-    mates = None
-    if mate is not None:
-        mates = [index.get(mate.get(identifier, identifier)) for identifier in index]
-        if any(j is None or mates[j] != i for i, j in enumerate(mates)):
-            raise ValueError("mate mapping must be an involution on the item set")
+    if mate is not None and (
+        len(mate) != m or any(not 0 <= j < m or mate[j] != i for i, j in enumerate(mate))
+    ):
+        raise ValueError("mate must be an involution on the item positions")
     start_time = time.monotonic()
     status, triples, nodes = kernels.triple_search(
-        [value for _, value in items], target, node_budget, time_budget, mates
+        [value for _, value in items], target, node_budget, time_budget, mate
     )
     elapsed = time.monotonic() - start_time
     partition = None
@@ -109,7 +112,7 @@ def triple_partition_search(
             verified = False
         if not verified:
             raise RuntimeError("the search returned a certificate that homomesy_verify rejects")
-    return SearchResult(status, partition, nodes, elapsed, target, len(items))
+    return SearchResult(status, partition, nodes, elapsed, target, m)
 
 
 def homomesy_verify(partition: TriplePartition, items: Sequence[WeightedItem]) -> bool:
@@ -151,7 +154,14 @@ def divisibility_check(shape: Partition, n: int) -> bool:
 
 
 def tableau_items(shape: Partition, n: int) -> list[WeightedItem]:
-    """The walks to `shape` of length |shape|+2n, keyed by text form, valued by weight."""
+    """The walks to `shape` of length |shape|+2n, keyed by text form, valued by weight.
+
+    A set of more than util.max_enumeration_size() walks raises the
+    BoundExceededError of enumerate_ot before any walk is enumerated.
+    """
+    cap = max_enumeration_size()
+    if count_formula(shape, n) > cap:
+        raise cap_exceeded(cap)
     length = size(shape) + 2 * n
     return [
         (format_tableau(t), weight(t)) for t in enumerate_ot((), tuple(shape), length)
@@ -165,24 +175,18 @@ def matching_items(n: int) -> list[WeightedItem]:
     ]
 
 
-def _search_set(
-    items: list[WeightedItem],
-    noun: str,
-    target: Callable[[], int],
-    conjugate_text: Callable[[str], str],
-    node_budget: int,
-    time_budget: float,
-    conjugation_closed: bool,
-) -> SearchResult:
-    """Check the item count, then search with the optional conjugation mates."""
+def conjugate_positions(objects: Iterable, conjugate_of: Callable) -> list[int]:
+    """For each of the distinct objects in order, the position of its conjugate."""
+    position = {obj: i for i, obj in enumerate(objects)}
+    return [position[conjugate_of(obj)] for obj in position]
+
+
+def _check_triples(items: list[WeightedItem], noun: str) -> None:
+    """Refuse, before the orbit target is computed, a set that triples cannot cover."""
     if len(items) % 3:
         raise NotDivisibleByThreeError(
             f"{len(items)} {noun} cannot form triples; routine needs n >= 2"
         )
-    mate = None
-    if conjugation_closed:
-        mate = {identifier: conjugate_text(identifier) for identifier, _ in items}
-    return triple_partition_search(items, target(), node_budget, time_budget, mate)
 
 
 def search_tableaux(
@@ -205,15 +209,14 @@ def search_tableaux(
             "a conjugation-closed search needs a self-conjugate shape; "
             f"{format_partition(shape)} has conjugate {format_partition(dual)}"
         )
-    return _search_set(
-        tableau_items(shape, n),
-        "walks",
-        lambda: orbit_sum_target_tableaux(size(shape), n),
-        lambda text: format_tableau(conjugate_tableau(parse_tableau(text))),
-        node_budget,
-        time_budget,
-        conjugation_closed,
-    )
+    items = tableau_items(shape, n)
+    _check_triples(items, "walks")
+    mate = None
+    if conjugation_closed:
+        walks = enumerate_ot((), tuple(shape), size(shape) + 2 * n)
+        mate = conjugate_positions(walks, conjugate_tableau)
+    target = orbit_sum_target_tableaux(size(shape), n)
+    return triple_partition_search(items, target, node_budget, time_budget, mate)
 
 
 def search_matchings(
@@ -223,12 +226,10 @@ def search_matchings(
     conjugation_closed: bool = False,
 ) -> SearchResult:
     """Triple-partition search over the matchings of [2n] with the alignment statistic."""
-    return _search_set(
-        matching_items(n),
-        "matchings",
-        lambda: orbit_sum_target_matchings(n),
-        lambda text: format_matching(conjugate_matching(parse_matching(text))),
-        node_budget,
-        time_budget,
-        conjugation_closed,
-    )
+    items = matching_items(n)
+    _check_triples(items, "matchings")
+    mate = None
+    if conjugation_closed:
+        mate = conjugate_positions(enumerate_matchings(n), conjugate_matching)
+    target = orbit_sum_target_matchings(n)
+    return triple_partition_search(items, target, node_budget, time_budget, mate)

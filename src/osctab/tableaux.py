@@ -63,6 +63,11 @@ def parse_tableau(text: str) -> OscillatingTableau:
     return steps
 
 
+def cap_exceeded(cap: int) -> BoundExceededError:
+    """The error a walk enumeration raises past its cap of `cap` walks."""
+    return BoundExceededError(f"enumeration exceeds the configured cap of {cap} walks")
+
+
 def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
     """Yield all length-`length` walks from start to shape, depth-first.
 
@@ -93,9 +98,7 @@ def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[Os
         if len(path) > length:
             produced += 1
             if produced > cap:
-                raise BoundExceededError(
-                    f"enumeration exceeds the configured cap of {cap} walks"
-                )
+                raise cap_exceeded(cap)
             yield tuple(path)
             path.pop()
         else:

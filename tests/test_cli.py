@@ -411,6 +411,14 @@ def test_homomesy_conjugation_closed_needs_a_self_conjugate_shape(capsys, shape)
     assert err.startswith("error: ") and "self-conjugate" in err
 
 
+def test_homomesy_refuses_an_over_cap_walk_set_as_enumerate_does(capsys, monkeypatch):
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # the walks to (1) at n = 2 number 15
+    refused = run_cli(capsys, "enumerate", "--shape", "1", "--length", "5")
+    assert refused[0] == 2 and "cap of 14" in refused[2]
+    argv = ("homomesy", "--target-set", "tableaux", "--shape", "1", "--n", "2")
+    assert run_cli(capsys, *argv) == refused
+
+
 def test_homomesy_budget_exhausted_exit(capsys):
     code, out, _ = run_cli(
         capsys,

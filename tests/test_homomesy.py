@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osctab import homomesy, kernels
-from osctab.errors import CoverageError, NotDivisibleByThreeError, OsctabError
+from osctab.errors import BoundExceededError, CoverageError, NotDivisibleByThreeError, OsctabError
 from osctab.homomesy import (
     TriplePartition,
+    conjugate_positions,
     divisibility_check,
     homomesy_verify,
     matching_items,
@@ -18,7 +19,15 @@ from osctab.homomesy import (
     tableau_items,
     triple_partition_search,
 )
-from osctab.partitions import partitions_up_to
+from osctab.matchings import (
+    conjugate_matching,
+    conjugate_tableau,
+    enumerate_matchings,
+    format_matching,
+    parse_matching,
+)
+from osctab.partitions import partitions_up_to, size
+from osctab.tableaux import enumerate_ot, format_tableau, parse_tableau
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "goldens.json").read_text())
 
@@ -214,18 +223,76 @@ def test_conjugation_closed_search():
 def test_mate_must_be_involution():
     items = items_of([0, 0, 1])
     with pytest.raises(ValueError):
-        triple_partition_search(
-            items, 1, node_budget=10**8, time_budget=60.0,
-            mate={"x0": "x1", "x1": "x2", "x2": "x0"},
-        )
+        triple_partition_search(items, 1, node_budget=10**8, time_budget=60.0, mate=[1, 2, 0])
 
 
 def test_mate_outside_the_item_set():
     items = items_of([0, 0, 1])
+    # [2, 1, -3] would pass the involution test through Python's negative indexing
+    for mate in ([3, 1, 2], [2, 1, -3], [0, 1], [0, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            triple_partition_search(items, 1, node_budget=10**8, time_budget=60.0, mate=mate)
+
+
+def test_repeated_identifiers_are_refused(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(kernels, "triple_search", no_search)
+    items = [("x0", 0), ("x1", 0), ("x0", 1)]
     with pytest.raises(ValueError):
-        triple_partition_search(
-            items, 1, node_budget=10**8, time_budget=60.0, mate={"x0": "y0", "y0": "x0"}
+        triple_partition_search(items, 1, node_budget=10**8, time_budget=60.0, mate=None)
+
+
+def text_round_trip_mates(items, parse, conjugate_of, format_text):
+    """Each item's mate the way it was once found: parse, conjugate, format, look up."""
+    index = {text: i for i, (text, _) in enumerate(items)}
+    return [index[format_text(conjugate_of(parse(text)))] for text, _ in items]
+
+
+def fixed_points(mate):
+    return [i for i, j in enumerate(mate) if i == j]
+
+
+def test_matching_mates_equal_the_text_round_trip():
+    for n in range(1, 7):
+        mate = conjugate_positions(enumerate_matchings(n), conjugate_matching)
+        items = matching_items(n)
+        assert mate == text_round_trip_mates(
+            items, parse_matching, conjugate_matching, format_matching
         )
+        assert all(mate[j] == i for i, j in enumerate(mate))
+        # the only self-conjugate matching is 1-2,3-4,...
+        self_conjugate = [items[i][0] for i in fixed_points(mate)]
+        assert self_conjugate == [",".join(f"{2 * i + 1}-{2 * i + 2}" for i in range(n))]
+
+
+@pytest.mark.parametrize(
+    "shape, fixed", [((), 1), ((1,), 1), ((2, 1), 0), ((2, 2), 0), ((3, 1, 1), 0)]
+)
+def test_walk_mates_equal_the_text_round_trip(shape, fixed):
+    for n in range(4):
+        walks = enumerate_ot((), shape, size(shape) + 2 * n)
+        mate = conjugate_positions(walks, conjugate_tableau)
+        assert mate == text_round_trip_mates(
+            tableau_items(shape, n), parse_tableau, conjugate_tableau, format_tableau
+        )
+        assert all(mate[j] == i for i, j in enumerate(mate))
+        assert len(fixed_points(mate)) == fixed
+
+
+def test_walk_search_refuses_an_over_cap_set_before_enumerating(monkeypatch):
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "15")  # the walks to (1) at n = 2 number 15
+    assert search_tableaux((1,), 2).item_count == 15
+
+    def no_walks(*args):
+        raise AssertionError("walks were enumerated")
+
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")
+    monkeypatch.setattr(homomesy, "enumerate_ot", no_walks)
+    with pytest.raises(BoundExceededError) as excinfo:
+        search_tableaux((1,), 2)
+    assert str(excinfo.value) == "enumeration exceeds the configured cap of 14 walks"
 
 
 @pytest.mark.parametrize("shape, conjugate", [((2,), "1,1"), ((1, 1), "2")])
