@@ -119,7 +119,7 @@ def cmd_count(args) -> RunReport:
     details: dict[str, Any] = {"formula": str(formula)}
     outcome = "pass"
     if formula <= max_enumeration_size() and not args.skip_enumeration:
-        enumerated = sum(1 for _ in tableaux.enumerate_ot((), shape, size(shape) + 2 * args.n))
+        enumerated = tableaux.walk_totals((), shape, size(shape) + 2 * args.n)[0]
         details["enumerated"] = str(enumerated)
         details["equal"] = enumerated == formula
         outcome = "pass" if enumerated == formula else "fail"
@@ -138,8 +138,9 @@ def cmd_enumerate(args) -> RunReport:
 
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
-    # two passes: "count" is written before "walks", and a capped run fails before any output
-    count = sum(1 for _ in tableaux.enumerate_ot(start, shape, args.length))
+    tableaux.refuse_over_cap(start, shape, args.length)
+    # two passes: "count" is written before "walks", without building a walk
+    count = tableaux.walk_totals(start, shape, args.length)[0]
     # each distinct partition is rendered once, indented as a walk's step in the report
     step_json = cache(lambda step: json.dumps(list(step), indent=2).replace("\n", "\n        "))
     walks = (
@@ -179,6 +180,7 @@ def cmd_avg_weight(args) -> RunReport:
         length = args.length
     else:
         raise OsctabError("provide --length or --n")
+    tableaux.refuse_over_cap(start, shape, length)
     enumerated = tableaux.average_weight_enumerated(start, shape, length)
     details: dict[str, Any] = {"enumerated": _frac(enumerated), "length": length}
     outcome = "pass"

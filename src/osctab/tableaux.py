@@ -68,62 +68,86 @@ def cap_exceeded(cap: int) -> BoundExceededError:
     return BoundExceededError(f"enumeration exceeds the configured cap of {cap} walks")
 
 
-def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
-    """Yield all length-`length` walks from start to shape, depth-first.
+def refuse_over_cap(start: Partition, shape: Partition, length: int) -> None:
+    """Raise cap_exceeded, before any walk is enumerated, if over the cap.
 
-    At every step the single-box growths come first (largest part first)
-    and the single-box removals after (top row first), which fixes a
-    reproducible total order on the output.  Raises BoundExceededError
-    once more than util.max_enumeration_size() walks have been produced;
-    the walk (start,) of length 0 counts too.  That cap, set by the
-    OSCTAB_MAX_ENUM environment variable, is the only enumeration cap.
+    Counts by the walk DP at each same-parity length upward.  An up-down
+    step first turns each walk two steps shorter into a distinct longer
+    one, so counts never fall and the first over-cap count settles it.
+    """
+    cap = max_enumeration_size()
+    for steps in range(length % 2, length + 1, 2):
+        if sum(weight_profile(start, shape, steps)) > cap:
+            raise cap_exceeded(cap)
 
-    One loop walks an explicit stack of move iterators, one per entry of
-    the current path.  A move table built for this call lists, once per
-    distinct partition, its single-box moves with each move's distance to
-    shape.  The distance changes by exactly one per step, so parity and
-    reach are checked once at the start (a mismatch yields an empty
-    iterator), and afterwards a move is taken exactly when its distance
-    is at most the steps left after it.
+
+def _walks(
+    start: Partition, shape: Partition, length: int
+) -> Iterator[tuple[list[Partition], int]]:
+    """Yield (path, weight) for each walk from start to shape, depth-first.
+
+    The one walk DFS; enumerate_ot and walk_totals read it.  `path` is a
+    live list of the walk's first `length` entries: a prefix that long
+    which survived the pruning is one step from shape, so that forced
+    last step is never searched.  `weight`, stacked beside the path,
+    includes sum(shape); the length-0 walk yields ([], sum(start)).
+    Growths come before removals, largest part and top row first.  Each
+    distinct partition's moves are listed once, with their distance to
+    shape and size; parity and reach are checked once (a mismatch yields
+    nothing), then a move is taken when its distance fits the steps left.
+    The OSCTAB_MAX_ENUM cap lives here: more than
+    util.max_enumeration_size() walks, the length-0 walk counted, raise
+    BoundExceededError.
     """
     cap = max_enumeration_size()
     distance = cover_distance(start, shape)
     if distance > length or (length - distance) % 2:
         return
-    moves: dict[Partition, list[tuple[Partition, int]]] = {}
+    if not length:  # start == shape
+        yield [], sum(shape)
+        return
+    moves: dict[Partition, list[tuple[Partition, int, int]]] = {}
     produced = 0
-    path = [start]
-    stack: list[Iterator[tuple[Partition, int]]] = []  # open moves out of path[i]
+    path, weights = [start], [sum(start) + sum(shape)]
+    stack: list[Iterator[tuple[Partition, int, int]]] = []  # open moves out of path[i]
     while True:
-        if len(path) > length:
+        if len(path) == length:
             produced += 1
             if produced > cap:
                 raise cap_exceeded(cap)
-            yield tuple(path)
+            yield path, weights[-1]
             path.pop()
+            weights.pop()
         else:
             current = path[-1]
             table = moves.get(current)
             if table is None:
                 table = moves[current] = [
-                    (nxt, cover_distance(nxt, shape))
+                    (nxt, cover_distance(nxt, shape), sum(nxt))
                     for nxt in covers_up(current) + covers_down(current)
                 ]
             stack.append(iter(table))
         # advance to the next prefix: the deepest open move that still reaches shape
         while stack:
             left = length - len(path)  # steps left after a move out of path[-1]
-            for nxt, distance in stack[-1]:
+            for nxt, distance, nxt_size in stack[-1]:
                 if distance <= left:
                     break
             else:
                 stack.pop()
                 path.pop()
+                weights.pop()
                 continue
             path.append(nxt)
+            weights.append(weights[-1] + nxt_size)
             break
         else:
             return
+
+
+def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
+    """Yield each walk from start to shape as a tuple, in _walks's order, under its cap."""
+    return ((*path, shape) for path, _ in _walks(start, shape, length))
 
 
 def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]:
@@ -156,11 +180,11 @@ def average_size_formula(k: int, n: int) -> Fraction:
 
 
 def walk_totals(start: Partition, shape: Partition, length: int) -> tuple[int, int]:
-    """(count, total weight) of the walks enumerate_ot yields, in one pass."""
+    """(count, total weight) of the walks enumerate_ot yields, from _walks's weights."""
     count = total = 0
-    for tableau in enumerate_ot(start, shape, length):
+    for _, walk_weight in _walks(start, shape, length):
         count += 1
-        total += weight(tableau)
+        total += walk_weight
     return count, total
 
 

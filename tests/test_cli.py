@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from osctab import diffposet, matchings
+from osctab import diffposet, matchings, tableaux
 from osctab.cli import main
 from osctab.partitions import format_partition, parse_partition
 from osctab.tableaux import enumerate_ot
@@ -116,6 +116,33 @@ def test_enumerate_cap_fails_before_any_output(capsys, monkeypatch, cap, code):
         assert err.startswith("error: ") and "cap of 14" in err
     else:
         assert json.loads(out)["details"]["count"] == "15"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--shape", "-", "--length", "6"),
+    ("avg-weight", "--mu", "1", "--shape", "1", "--length", "4"),
+])
+def test_over_cap_walk_runs_refuse_before_the_walk_dfs(capsys, monkeypatch, argv):
+    entered = []
+    real = tableaux._walks
+    monkeypatch.setattr(tableaux, "_walks", lambda *walk: entered.append(walk) or real(*walk))
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # both walk sets number 15
+    error = f"error: {tableaux.cap_exceeded(14)}\n"
+    assert run_cli(capsys, *argv) == (2, "", error)
+    assert entered == []
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "15")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert entered
+
+
+def test_over_cap_refusal_stops_at_the_first_over_cap_length(capsys, monkeypatch):
+    lengths = []
+    real = tableaux.weight_profile
+    spy = lambda *cell: lengths.append(cell[2]) or real(*cell)  # noqa: E731
+    monkeypatch.setattr(tableaux, "weight_profile", spy)
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # the walks of length 6 number 15
+    code, out, _ = run_cli(capsys, "enumerate", "--shape", "-", "--length", "40")
+    assert (code, out, lengths) == (2, "", [0, 2, 4, 6])
 
 
 def test_avg_weight_formula_agreement(capsys):

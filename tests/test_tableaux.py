@@ -29,6 +29,7 @@ from osctab.tableaux import (
     is_oscillating_tableau,
     parse_tableau,
     skew_denominator_scan,
+    walk_totals,
     weight,
     weight_generating_function,
     weight_profile,
@@ -230,6 +231,38 @@ def test_enumeration_cap_edges(monkeypatch):
         monkeypatch.setenv("OSCTAB_MAX_ENUM", str(count - 1))
         with pytest.raises(BoundExceededError):
             list(enumerate_ot(start, shape, length))
+
+
+def test_walk_totals_equal_the_recursive_oracle():
+    cases = 0
+    for start in partitions_up_to(3):
+        for shape in partitions_up_to(4):
+            for length in range(9):
+                walks = list(recursive_enumerate_ot(start, shape, length))
+                assert walk_totals(start, shape, length) == (len(walks), sum(map(weight, walks)))
+                cases += bool(walks)
+    assert cases == 309
+
+
+def test_walk_totals_cap_edges(monkeypatch):
+    # the single walk of length 0 fits the smallest cap, and weighs its one partition
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "1")
+    assert walk_totals((2, 1), (2, 1), 0) == (1, 3)
+    for start, shape, length in (((), (), 6), ((1,), (2, 1), 4), ((2,), (1,), 3)):
+        walks = list(recursive_enumerate_ot(start, shape, length))
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(len(walks)))
+        assert walk_totals(start, shape, length) == (len(walks), sum(map(weight, walks)))
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(len(walks) - 1))
+        with pytest.raises(BoundExceededError):
+            walk_totals(start, shape, length)
+
+
+def test_walk_counts_never_fall_as_the_length_grows_by_two():
+    # the over-cap refusal of enumerate and avg-weight stops at the first over-cap length
+    for start in partitions_up_to(3):
+        for shape in partitions_up_to(4):
+            counts = [sum(weight_profile(start, shape, length)) for length in range(13)]
+            assert all(a <= b for a, b in zip(counts, counts[2:]))
 
 
 def test_unreachable_endpoints_yield_nothing_without_a_search(monkeypatch):

@@ -4,16 +4,16 @@ from osctab import tableaux, verify
 from osctab.partitions import partitions_up_to, size
 
 
-def spy_on_enumerate_ot(monkeypatch) -> list:
-    """Record the (shape, length) of every tableaux.enumerate_ot call."""
+def spy_on_walks(monkeypatch) -> list:
+    """Record the (shape, length) of every call of tableaux._walks, the walk DFS core."""
     calls = []
-    original = tableaux.enumerate_ot
+    original = tableaux._walks
 
     def spy(start, shape, length):
         calls.append((shape, length))
         return original(start, shape, length)
 
-    monkeypatch.setattr(tableaux, "enumerate_ot", spy)
+    monkeypatch.setattr(tableaux, "_walks", spy)
     return calls
 
 
@@ -23,7 +23,7 @@ def cells(kmax, nmax):
 
 def test_count_and_weight_enumerate_each_cell_once(monkeypatch):
     verify._walk_totals.cache_clear()
-    calls = spy_on_enumerate_ot(monkeypatch)
+    calls = spy_on_walks(monkeypatch)
     assert all(row.passed for row in verify.suite_count() + verify.suite_weight())
     assert len(calls) == 48
     assert calls == cells(4, 3)
@@ -31,7 +31,7 @@ def test_count_and_weight_enumerate_each_cell_once(monkeypatch):
 
 def test_a_suite_run_alone_enumerates_its_own_cells(monkeypatch):
     verify._walk_totals.cache_clear()
-    calls = spy_on_enumerate_ot(monkeypatch)
+    calls = spy_on_walks(monkeypatch)
     assert all(row.passed for row in verify.suite_count(kmax=5, nmax=1))
     assert calls == cells(5, 1)
     # each run_suite call enumerates anew, with its own overrides
