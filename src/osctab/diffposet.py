@@ -1,11 +1,13 @@
 """Up/down operators on formal integer combinations of partitions.
 
-U adds one box in every possible way, D removes one; on the partition
-lattice they satisfy DU - UD = I.  Expanding powers of (U + D) in normal
-order U^i D^j yields integer coefficient families, and a y-weighted
-refinement of the expansion yields Laurent-polynomial coefficients whose
-value and derivative at y = 1 give the walk counts and total walk
-weights that the closed forms are checked against.
+U adds one box in every possible way, D removes one: each is the linear
+extension of a cover function.  On the partition lattice DU - UD = I, and
+so D U^i = U^i D + i U^(i-1), checked for i = 0..i_max from one chain of
+powers per partition.  Expanding powers of (U + D) in normal order U^i D^j
+yields integer coefficient families, and a y-weighted refinement of the
+expansion yields Laurent-polynomial coefficients whose value and
+derivative at y = 1 give the walk counts and total walk weights that the
+closed forms are checked against.
 """
 
 from fractions import Fraction
@@ -43,58 +45,51 @@ def _accumulate(acc: FormalSum, partition: Partition, coeff: int) -> None:
         acc.pop(partition, None)
 
 
-def apply_U(value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
-    """Linear extension of: partition -> sum of its one-box growths."""
+def _apply(covers, value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
+    """Linear extension of: partition -> sum of covers(partition)."""
     result: FormalSum = {}
     for partition, coeff in as_formal_sum(value).items():
-        for upper in covers_up(partition):
-            _accumulate(result, upper, coeff)
+        for cover in covers(partition):
+            _accumulate(result, cover, coeff)
     return result
+
+
+def apply_U(value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
+    """Linear extension of: partition -> sum of its one-box growths."""
+    return _apply(covers_up, value)
 
 
 def apply_D(value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
     """Linear extension of: partition -> sum of its one-box removals."""
-    result: FormalSum = {}
-    for partition, coeff in as_formal_sum(value).items():
-        for lower in covers_down(partition):
-            _accumulate(result, lower, coeff)
-    return result
+    return _apply(covers_down, value)
 
 
-def _sum_minus(a: FormalSum, b: FormalSum) -> FormalSum:
-    result = dict(a)
-    for partition, coeff in b.items():
-        _accumulate(result, partition, -coeff)
-    return result
+def _straightening(partition: Partition, i_max: int) -> list[bool]:
+    """Entry i: whether D U^i p = U^i D p + i U^(i-1) p, for i = 0..i_max.
+
+    One chain each of U^i p and U^i D p; U^(i-1) p is the chain's previous step.
+    """
+    prev, up, up_down = {}, {partition: 1}, apply_D(partition)
+    holds = []
+    for i in range(i_max + 1):
+        if i:
+            prev, up, up_down = up, apply_U(up), apply_U(up_down)
+        rhs = dict(up_down)
+        for p, c in prev.items():
+            _accumulate(rhs, p, i * c)
+        holds.append(apply_D(up) == rhs)
+    return holds
 
 
 def commutator_check(partition: Partition) -> bool:
-    """True when (DU - UD) applied to the partition returns it unchanged."""
-    du = apply_D(apply_U(partition))
-    ud = apply_U(apply_D(partition))
-    return _sum_minus(du, ud) == {partition: 1}
+    """True when (DU - UD) p = p: the i = 1 case of the straightening rule."""
+    return _straightening(partition, 1)[1]
 
 
-def ud_straighten_check(i: int, bound: int) -> bool:
-    """Check D U^i = U^i D + i U^(i-1) on every partition of size <= bound."""
-    for partition in partitions_up_to(bound):
-        lhs: FormalSum = {partition: 1}
-        for _ in range(i):
-            lhs = apply_U(lhs)
-        lhs = apply_D(lhs)
-
-        rhs = apply_D(partition)
-        for _ in range(i):
-            rhs = apply_U(rhs)
-        if i > 0:
-            extra: FormalSum = {partition: i}
-            for _ in range(i - 1):
-                extra = apply_U(extra)
-            for p, c in extra.items():
-                _accumulate(rhs, p, c)
-        if lhs != rhs:
-            return False
-    return True
+def ud_straighten_check(i_max: int, bound: int) -> list[bool]:
+    """Entry i: whether D U^i = U^i D + i U^(i-1) on every |p| <= bound, for i = 0..i_max."""
+    rows = [_straightening(p, i_max) for p in partitions_up_to(bound)]
+    return [all(row[i] for row in rows) for i in range(i_max + 1)]
 
 
 class CoeffTable:

@@ -37,11 +37,14 @@ def as_matching(pairs: Sequence[Sequence[int]]) -> PerfectMatching:
 
 
 def parse_matching(text: str) -> PerfectMatching:
-    """Parse the canonical text form "a-b,c-d,..."."""
+    """Parse the canonical text form "a-b,c-d,..."; "" is the empty matching."""
     pairs = []
-    for piece in text.split(","):
+    for piece in text.split(",") if text else ():
         left, _, right = piece.partition("-")
-        pairs.append((int(left), int(right)))
+        try:
+            pairs.append((int(left), int(right)))
+        except ValueError:
+            raise ValueError(f"matching piece {piece!r} is not of the form a-b") from None
     return as_matching(pairs)
 
 

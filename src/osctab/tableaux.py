@@ -254,11 +254,12 @@ def skew_denominator_scan(
 
     Covers every (start, shape, length) with the given size and length
     bounds whose walk set is nonempty, and reports the largest reduced
-    denominator seen plus the first case, if any, whose denominator
-    exceeds 3.  One kernel pass per start yields the profiles of every
-    shape and length; cases are visited start, then shape, then length.
+    denominator seen, the first case with it, and the first case, if any,
+    whose denominator exceeds 3.  One kernel pass per start yields the
+    profiles of every shape and length; cases are visited start, then
+    shape, then length.
     """
-    cases, max_denominator, records = 0, 1, []
+    cases, max_denominator, records = 0, 0, []
     max_case = exceeding_3 = not_dividing_3 = None
     shapes = list(partitions_up_to(max_shape_size))
     for start in partitions_up_to(max_start_size):

@@ -109,8 +109,7 @@ def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
         diffposet.commutator_check(p) for p in partitions_up_to(10)
     )
     rows.append(_row("DU - UD = I on |p| <= 10", commutator_ok, True))
-    for i in range(7):
-        straight_ok = diffposet.ud_straighten_check(i, 6)
+    for i, straight_ok in enumerate(diffposet.ud_straighten_check(6, 6)):
         rows.append(_row(f"D U^{i} = U^{i} D + {i} U^{i-1} on |p| <= 6", straight_ok, True))
     # one table for every check below; key-identity cells longer than l_max are skipped
     l_max = 14

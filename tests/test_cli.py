@@ -385,6 +385,21 @@ def test_rs_forward_inverse(capsys):
     assert json.loads(out)["details"]["matching"] == "1-4,2-3"
 
 
+def test_rs_forward_takes_the_empty_matching_that_inverse_prints(capsys):
+    code, out, _ = run_cli(capsys, "rs", "inverse", "--tableau=-")
+    assert code == 0
+    assert json.loads(out)["details"]["matching"] == ""
+    code, out, _ = run_cli(capsys, "rs", "forward", "--matching", "")
+    assert code == 0
+    assert json.loads(out)["details"]["tableau_text"] == "-"
+
+
+def test_rs_forward_names_a_bad_matching_piece(capsys):
+    code, out, err = run_cli(capsys, "rs", "forward", "--matching", "1-")
+    assert (code, out) == (2, "")
+    assert err == "error: matching piece '1-' is not of the form a-b\n"
+
+
 def test_rs_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "rs", "roundtrip", "--n", "3")
     assert code == 0
@@ -465,6 +480,15 @@ def test_skew_scan(capsys):
     payload = json.loads(out)
     assert payload["details"]["all_denominators_divide_3"] is True
     assert payload["details"]["max_denominator"] == "3"
+
+
+def test_skew_scan_names_a_case_when_every_denominator_is_1(capsys):
+    code, out, _ = run_cli(capsys, "skew-scan", "--max-mu", "1", "--max-shape", "0", "--max-length", "2")
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert (details["cases"], details["max_denominator"]) == (3, "1")
+    case = details["max_denominator_case"]
+    assert (case["mu"], case["shape"], case["length"], case["denominator"]) == ([], [], 0, "1")
 
 
 def test_verify_small_suites(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from osctab import diffposet
 from osctab.diffposet import (
     apply_D,
     apply_U,
@@ -14,7 +15,7 @@ from osctab.diffposet import (
 )
 from osctab.errors import BoundExceededError
 from osctab.laurent import LaurentPolynomial
-from osctab.partitions import num_syt, partitions_up_to, size
+from osctab.partitions import covers_up, num_syt, partitions_up_to, size
 from osctab.tableaux import weight_generating_function
 
 
@@ -35,10 +36,69 @@ def test_commutator_everywhere():
         assert commutator_check(p)
 
 
+def three_chain_straighten_check(i, bound):
+    """D U^i = U^i D + i U^(i-1) for one i, each side built from nothing, kept as the oracle."""
+    for partition in partitions_up_to(bound):
+        lhs = {partition: 1}
+        for _ in range(i):
+            lhs = apply_U(lhs)
+        lhs = apply_D(lhs)
+        rhs = apply_D(partition)
+        for _ in range(i):
+            rhs = apply_U(rhs)
+        if i > 0:
+            extra = {partition: i}
+            for _ in range(i - 1):
+                extra = apply_U(extra)
+            for p, c in extra.items():
+                rhs[p] = rhs.get(p, 0) + c
+        if {p: c for p, c in lhs.items() if c} != {p: c for p, c in rhs.items() if c}:
+            return False
+    return True
+
+
 def test_straighten_identities():
-    assert ud_straighten_check(0, 8)
-    assert ud_straighten_check(1, 8)
-    assert ud_straighten_check(3, 6)
+    assert ud_straighten_check(0, 8) == [True]
+    assert ud_straighten_check(1, 8) == [True] * 2
+    assert ud_straighten_check(3, 6) == [True] * 4
+    assert ud_straighten_check(2, -1) == [True] * 3  # no partitions: every rule holds vacuously
+
+
+@pytest.mark.parametrize("bound", range(8))
+def test_straighten_list_equals_the_three_chain_oracle(bound):
+    assert ud_straighten_check(6, bound) == [
+        three_chain_straighten_check(i, bound) for i in range(7)
+    ]
+
+
+def test_straighten_fails_where_the_oracle_does(monkeypatch):
+    # U doubled gives DU - UD = 2I, so every rule with i >= 1 fails and i = 0 holds
+    monkeypatch.setattr(diffposet, "covers_up", lambda p: covers_up(p) * 2)
+    expected = [True] + [False] * 4
+    assert ud_straighten_check(4, 4) == expected
+    assert [three_chain_straighten_check(i, 4) for i in range(5)] == expected
+    assert not commutator_check((2, 1))
+
+
+@pytest.mark.parametrize("bound", [0, 3, 6])
+def test_straighten_builds_one_chain_of_powers_per_partition(monkeypatch, bound):
+    i_max = 6
+    budget = 0  # covers_up calls of one chain of U^j p and one of U^j D p, j < i_max
+    for p in partitions_up_to(bound):
+        for chain in ({p: 1}, apply_D(p)):
+            for _ in range(i_max):
+                budget += len(chain)
+                chain = apply_U(chain)
+    calls = []
+
+    def spy(partition):
+        calls.append(partition)
+        return covers_up(partition)
+
+    monkeypatch.setattr(diffposet, "covers_up", spy)
+    holds = ud_straighten_check(i_max, bound)
+    assert 0 < len(calls) <= budget
+    assert holds == [True] * (i_max + 1)
 
 
 def test_q_table_entries():

@@ -62,6 +62,20 @@ def test_parse_and_format():
     assert as_matching([(3, 1), (4, 2)]) == ((1, 3), (2, 4))
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_parse_inverts_format(n):
+    for m in enumerate_matchings(n):
+        assert parse_matching(format_matching(m)) == m
+
+
+@pytest.mark.parametrize(
+    "text, piece", [("1-", "1-"), ("1", "1"), ("1-2,", ""), ("a-b", "a-b"), ("1-2,3-4-5", "3-4-5")]
+)
+def test_parse_matching_names_the_bad_piece(text, piece):
+    with pytest.raises(ValueError, match=f"^matching piece '{piece}' is not of the form a-b$"):
+        parse_matching(text)
+
+
 def test_as_matching_rejects_non_partition():
     with pytest.raises(ValueError):
         as_matching([(1, 2), (2, 3)])

@@ -330,6 +330,14 @@ def test_skew_scan_trivial_case():
     assert report.max_denominator == 1
 
 
+@pytest.mark.parametrize("grid, cases", [((0, 0, 0), 1), ((1, 0, 2), 3)])
+def test_skew_scan_names_the_case_when_every_denominator_is_1(grid, cases):
+    report = skew_denominator_scan(*grid)
+    assert report.cases == cases
+    assert report.max_denominator == 1
+    assert report.max_denominator_case == ScanCase((), (), 0, 1, Fraction(0))
+
+
 def test_scan_agrees_with_enumerated_averages():
     report = skew_denominator_scan(2, 2, 4, keep_records=True)
     for case in report.records:
@@ -340,7 +348,7 @@ def test_scan_agrees_with_enumerated_averages():
 
 def per_cell_scan(max_start_size, max_shape_size, max_length, keep_records=False):
     """The scan with one profile per (start, shape, length) cell, kept as its oracle."""
-    cases, max_denominator, records = 0, 1, []
+    cases, max_denominator, records = 0, 0, []
     max_case = exceeding_3 = not_dividing_3 = None
     for start in partitions_up_to(max_start_size):
         for shape in partitions_up_to(max_shape_size):
@@ -363,7 +371,7 @@ def per_cell_scan(max_start_size, max_shape_size, max_length, keep_records=False
     return ScanReport(cases, max_denominator, max_case, exceeding_3, not_dividing_3, records)
 
 
-@pytest.mark.parametrize("grid", [(0, 0, 0), (2, 2, 4), (3, 3, 6), (3, 4, 9)])
+@pytest.mark.parametrize("grid", [(0, 0, 0), (1, 0, 2), (2, 2, 4), (3, 3, 6), (3, 4, 9)])
 def test_scan_equals_the_per_cell_oracle(grid):
     for keep_records in (False, True):
         report = skew_denominator_scan(*grid, keep_records=keep_records)
