@@ -365,9 +365,7 @@ def cmd_homomesy(args) -> RunReport:
 def cmd_skew_scan(args) -> RunReport:
     from . import tableaux
 
-    report_data = tableaux.skew_denominator_scan(
-        args.max_mu, args.max_shape, args.max_length, keep_records=args.records
-    )
+    report_data = tableaux.skew_denominator_scan(args.max_mu, args.max_shape, args.max_length)
 
     def case_json(case):
         if case is None:

@@ -151,29 +151,30 @@ def b_value(i: int, l: int) -> int:
     return comb(l, i) * double_factorial(l - i - 1)
 
 
-def c_value(i: int, l: int) -> int:
-    """Weighted coefficient c[i, 0](l) by the integer recurrence
+def c_rows(l_max: int) -> list[dict[int, int]]:
+    """Weighted coefficients c[i, 0](l), l = 0..l_max, by the integer recurrence
 
         c[i, 0](l+1) = c[i-1, 0](l) + (i+1) c[i+1, 0](l)
                        + i b[i-1, 0](l) + i(i+1) b[i+1, 0](l)
 
-    against the closed form for b.  It must agree with CoeffTable.c(i, 0, l),
-    the derivative route.
+    against the closed form for b.  Row l maps i to c[i, 0](l), zeros left
+    out.  Each entry must agree with CoeffTable.c(i, 0, l), the derivative
+    route.
     """
-    prev: dict[int, int] = {}  # c[i, 0](0) = 0 for every i
-    for step in range(l):
-        cur: dict[int, int] = {}
-        for ii in range(step + 2):
+    rows: list[dict[int, int]] = [{}]  # c[i, 0](0) = 0 for every i
+    for l in range(l_max):
+        prev, cur = rows[-1], {}
+        for i in range(l + 2):
             value = (
-                prev.get(ii - 1, 0)
-                + (ii + 1) * prev.get(ii + 1, 0)
-                + ii * b_value(ii - 1, step)
-                + ii * (ii + 1) * b_value(ii + 1, step)
+                prev.get(i - 1, 0)
+                + (i + 1) * prev.get(i + 1, 0)
+                + i * b_value(i - 1, l)
+                + i * (i + 1) * b_value(i + 1, l)
             )
             if value:
-                cur[ii] = value
-        prev = cur
-    return prev.get(i, 0)
+                cur[i] = value
+        rows.append(cur)
+    return rows
 
 
 class KeyIdentityReport(NamedTuple):

@@ -14,8 +14,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .errors import BoundExceededError, InvalidDyckWordError, ShapeMismatchError
-from .partitions import EMPTY, Partition, box_step, conjugate
-from .tableaux import OscillatingTableau
+from .partitions import EMPTY, OscillatingTableau, Partition, box_step, conjugate
 from .util import joined
 
 PerfectMatching = tuple[tuple[int, int], ...]

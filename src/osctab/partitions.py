@@ -12,6 +12,7 @@ from typing import Iterator, Sequence
 from .errors import BoundExceededError, PartitionParseError
 
 Partition = tuple[int, ...]
+OscillatingTableau = tuple[Partition, ...]  # a walk: consecutive entries one box apart
 
 EMPTY: Partition = ()
 

@@ -17,6 +17,7 @@ from .errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchErro
 from .laurent import LaurentPolynomial
 from .partitions import (
     EMPTY,
+    OscillatingTableau,
     Partition,
     box_step,
     cover_distance,
@@ -29,8 +30,6 @@ from .partitions import (
     size,
 )
 from .util import double_factorial, max_enumeration_size
-
-OscillatingTableau = tuple[Partition, ...]
 
 
 def is_oscillating_tableau(steps: Sequence[Partition]) -> bool:
@@ -230,37 +229,42 @@ class ScanCase(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    """Outcome of scanning skew average-weight denominators over a grid."""
+    """A scan's cases in scan order; never empty, as every scan holds () -> () at length 0."""
 
-    cases: int
-    max_denominator: int
-    max_denominator_case: Optional[ScanCase]
-    witness_exceeding_3: Optional[ScanCase]
-    witness_not_dividing_3: Optional[ScanCase]
     records: list[ScanCase]
 
     @property
+    def cases(self) -> int:
+        return len(self.records)
+
+    @property
+    def max_denominator_case(self) -> ScanCase:
+        """The first case with the largest reduced denominator."""
+        return max(self.records, key=lambda case: case.denominator)
+
+    @property
+    def max_denominator(self) -> int:
+        return self.max_denominator_case.denominator
+
+    @property
+    def witness_exceeding_3(self) -> Optional[ScanCase]:
+        """The first case whose denominator exceeds 3, if any."""
+        return next((case for case in self.records if case.denominator > 3), None)
+
+    @property
     def all_denominators_divide_3(self) -> bool:
-        return self.witness_not_dividing_3 is None
+        return all(case.denominator in (1, 3) for case in self.records)
 
 
-def skew_denominator_scan(
-    max_start_size: int,
-    max_shape_size: int,
-    max_length: int,
-    keep_records: bool = False,
-) -> ScanReport:
+def skew_denominator_scan(max_start_size: int, max_shape_size: int, max_length: int) -> ScanReport:
     """Reduced denominators of the average weight over a grid of skew walks.
 
     Covers every (start, shape, length) with the given size and length
-    bounds whose walk set is nonempty, and reports the largest reduced
-    denominator seen, the first case with it, and the first case, if any,
-    whose denominator exceeds 3.  One kernel pass per start yields the
-    profiles of every shape and length; cases are visited start, then
+    bounds whose walk set is nonempty.  One kernel pass per start yields
+    the profiles of every shape and length; cases are visited start, then
     shape, then length.
     """
-    cases, max_denominator, records = 0, 0, []
-    max_case = exceeding_3 = not_dividing_3 = None
+    records = []
     shapes = list(partitions_up_to(max_shape_size))
     for start in partitions_up_to(max_start_size):
         profiles = kernels.ot_weight_profiles(start, shapes, max_length)
@@ -271,14 +275,5 @@ def skew_denominator_scan(
                     continue
                 count = sum(profile)
                 total = sum(w * c for w, c in enumerate(profile))
-                case = ScanCase(start, shape, length, count, Fraction(total, count))
-                cases += 1
-                if keep_records:
-                    records.append(case)
-                if case.denominator > max_denominator:
-                    max_denominator, max_case = case.denominator, case
-                if case.denominator > 3 and exceeding_3 is None:
-                    exceeding_3 = case
-                if case.denominator not in (1, 3) and not_dividing_3 is None:
-                    not_dividing_3 = case
-    return ScanReport(cases, max_denominator, max_case, exceeding_3, not_dividing_3, records)
+                records.append(ScanCase(start, shape, length, count, Fraction(total, count)))
+    return ScanReport(records)

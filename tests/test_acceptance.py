@@ -20,7 +20,7 @@ from osctab.homomesy import (
     orbit_sum_target_tableaux,
     search_matchings,
 )
-from osctab.matchings import area
+from osctab.matchings import area, joint_distribution
 from osctab.partitions import partitions_up_to
 from osctab.tableaux import average_weight_formula, skew_denominator_scan
 
@@ -90,7 +90,8 @@ def test_criterion_7_distribution_facts():
         for r in verify.suite_stats(nmax=6)
         if any(r.name.startswith(prefix) for prefix in wanted)
     ]
-    assert verify.first_s3_symmetry_failure(6) == GOLDENS["s3_symmetry_first_failure_n"]
+    distributions = {n: joint_distribution(n) for n in range(2, 7)}
+    assert verify.first_s3_symmetry_failure(distributions) == GOLDENS["s3_symmetry_first_failure_n"]
     run_rows(rows, "7 (distribution facts)", started, 120.0)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from osctab import diffposet, matchings, tableaux
-from osctab.cli import main
+from osctab.cli import build_parser, main
 from osctab.partitions import format_partition, parse_partition
 from osctab.tableaux import enumerate_ot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+WORKLOADS_PY = SRC.parent / "perfbench" / "workloads.py"
 GOLDENS = json.loads((Path(__file__).parent / "data" / "goldens.json").read_text())
 
 
@@ -346,7 +348,7 @@ def test_diffposet_b_table_equals_closed_form_and_recurrence(capsys):
         (i, l) for l in range(17) for i in range(l + 1) if (l - i) % 2 == 0
     ]
     for i, l, b, c in rows:
-        assert (b, c) == (diffposet.b_value(i, l), diffposet.c_value(i, l))
+        assert (b, c) == (diffposet.b_value(i, l), diffposet.c_rows(l)[l].get(i, 0))
 
 
 def test_diffposet_verify_eq1(capsys):
@@ -489,6 +491,16 @@ def test_skew_scan_names_a_case_when_every_denominator_is_1(capsys):
     assert (details["cases"], details["max_denominator"]) == (3, "1")
     case = details["max_denominator_case"]
     assert (case["mu"], case["shape"], case["length"], case["denominator"]) == ([], [], 0, "1")
+
+
+def test_skew_scan_records_add_only_the_records_key(capsys):
+    argv = ("skew-scan", "--max-mu", "3", "--max-shape", "4", "--max-length", "9")
+    _, out, _ = run_cli(capsys, *argv)
+    _, out_records, _ = run_cli(capsys, *argv, "--records")
+    details = json.loads(out)["details"]
+    details_records = json.loads(out_records)["details"]
+    assert len(details_records.pop("records")) == details["cases"] == 353
+    assert list(details_records.items()) == list(details.items())
 
 
 def test_verify_small_suites(capsys):
@@ -690,7 +702,7 @@ def loaded_modules(argv):
         ((), (), ENGINES),
         (("skew-scan", "--max-mu", "1", "--max-shape", "2", "--max-length", "3"),
          ("tableaux",), ("verify", "diffposet", "homomesy", "matchings")),
-        (("stats", "--n", "2"), ("matchings",), ("verify", "diffposet")),
+        (("stats", "--n", "2"), ("matchings",), ("verify", "diffposet", "tableaux", "laurent")),
         (("homomesy", "--target-set", "matchings", "--n", "2"), ("homomesy",), ("verify", "diffposet")),
         (("verify", "--suite", "skew"), ENGINES, ()),
     ],
@@ -700,3 +712,15 @@ def test_a_command_imports_only_what_it_runs(argv, loaded, absent):
     assert {f"osctab.{name}" for name in ("cli", *loaded)} <= modules
     assert not {f"osctab.{name}" for name in absent} & modules
     assert "dataclasses" not in modules
+
+
+def test_the_benchmark_command_lines_parse():
+    """Each command line of perfbench/workloads.py is one the CLI accepts."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [command.argv for commands in workloads.WORKLOADS.values() for command in commands]
+    assert argvs
+    parser = build_parser()
+    for argv in argvs:
+        assert parser.parse_args(list(argv)).func

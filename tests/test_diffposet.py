@@ -7,7 +7,7 @@ from osctab.diffposet import (
     apply_D,
     apply_U,
     b_value,
-    c_value,
+    c_rows,
     commutator_check,
     q_table,
     ud_straighten_check,
@@ -151,16 +151,16 @@ def test_b_value_matches_table():
 
 
 def test_c_value_examples():
-    assert c_value(0, 0) == 0
-    assert c_value(0, 2) == 1
-    assert c_value(0, 4) == 10
+    assert c_rows(0)[0].get(0, 0) == 0
+    assert c_rows(2)[2].get(0, 0) == 1
+    assert c_rows(4)[4].get(0, 0) == 10
 
 
 def test_c_value_both_paths_agree():
     table = q_table(12)
     for l in range(13):
         for i in range(7):
-            assert table.c(i, 0, l) == c_value(i, l)
+            assert table.c(i, 0, l) == c_rows(l)[l].get(i, 0)
 
 
 def test_c_times_f_is_total_weight():

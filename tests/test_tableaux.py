@@ -303,17 +303,18 @@ def test_skew_scan_finds_large_denominator():
 
 def test_scan_report_fields_equal_the_golden():
     golden = GOLDENS["skew_scan_3_4_9_records"]
-    report = skew_denominator_scan(3, 4, 9, keep_records=True)
+    report = skew_denominator_scan(3, 4, 9)
 
     def case_fields(case):
         if case is None:
             return None
         return [list(case.start), list(case.shape), case.length, case.count, str(case.average)]
 
+    assert ScanReport._fields == ("records",)
     assert list(report._fields) == golden["fields"]
     assert report.cases == golden["cases"] == len(report.records)
     assert report.max_denominator == golden["max_denominator"]
-    for name in ("max_denominator_case", "witness_exceeding_3", "witness_not_dividing_3"):
+    for name in ("max_denominator_case", "witness_exceeding_3"):
         assert case_fields(getattr(report, name)) == golden[name]
     lines = "".join(f"{c.start}|{c.shape}|{c.length}|{c.count}|{c.average}\n" for c in report.records)
     assert hashlib.sha256(lines.encode()).hexdigest() == golden["records_sha256"]
@@ -339,17 +340,16 @@ def test_skew_scan_names_the_case_when_every_denominator_is_1(grid, cases):
 
 
 def test_scan_agrees_with_enumerated_averages():
-    report = skew_denominator_scan(2, 2, 4, keep_records=True)
+    report = skew_denominator_scan(2, 2, 4)
     for case in report.records:
         assert case.average == average_weight_enumerated(
             case.start, case.shape, case.length
         )
 
 
-def per_cell_scan(max_start_size, max_shape_size, max_length, keep_records=False):
+def per_cell_scan(max_start_size, max_shape_size, max_length):
     """The scan with one profile per (start, shape, length) cell, kept as its oracle."""
-    cases, max_denominator, records = 0, 0, []
-    max_case = exceeding_3 = not_dividing_3 = None
+    records = []
     for start in partitions_up_to(max_start_size):
         for shape in partitions_up_to(max_shape_size):
             for length in range(max_length + 1):
@@ -358,25 +358,23 @@ def per_cell_scan(max_start_size, max_shape_size, max_length, keep_records=False
                     continue
                 count = sum(profile)
                 total = sum(w * c for w, c in enumerate(profile))
-                case = ScanCase(start, shape, length, count, Fraction(total, count))
-                cases += 1
-                if keep_records:
-                    records.append(case)
-                if case.denominator > max_denominator:
-                    max_denominator, max_case = case.denominator, case
-                if case.denominator > 3 and exceeding_3 is None:
-                    exceeding_3 = case
-                if case.denominator not in (1, 3) and not_dividing_3 is None:
-                    not_dividing_3 = case
-    return ScanReport(cases, max_denominator, max_case, exceeding_3, not_dividing_3, records)
+                records.append(ScanCase(start, shape, length, count, Fraction(total, count)))
+    return ScanReport(records)
 
 
 @pytest.mark.parametrize("grid", [(0, 0, 0), (1, 0, 2), (2, 2, 4), (3, 3, 6), (3, 4, 9)])
 def test_scan_equals_the_per_cell_oracle(grid):
-    for keep_records in (False, True):
-        report = skew_denominator_scan(*grid, keep_records=keep_records)
-        assert report == per_cell_scan(*grid, keep_records=keep_records)
+    report = skew_denominator_scan(*grid)
+    assert report == per_cell_scan(*grid)
     assert len(report.records) == report.cases
+
+
+@pytest.mark.parametrize("grid", [(1, 2, 4), (2, 3, 6), (3, 4, 8)])
+def test_empty_start_cases_of_a_scan_are_the_plain_scan(grid):
+    max_start_size, max_shape_size, max_length = grid
+    plain = skew_denominator_scan(0, max_shape_size, max_length)
+    cases = [case for case in skew_denominator_scan(*grid).records if not case.start]
+    assert cases == plain.records
 
 
 def test_scan_command_bytes_equal_the_per_cell_oracle(capsys, monkeypatch):

@@ -1,6 +1,6 @@
-"""One brute-force walk pass per cell, shared by the count and weight suites."""
+"""Each battery builds each of its inputs once: walk passes, scans, distributions, c rows."""
 
-from osctab import tableaux, verify
+from osctab import diffposet, kernels, matchings, tableaux, verify
 from osctab.partitions import partitions_up_to, size
 
 
@@ -39,3 +39,36 @@ def test_a_suite_run_alone_enumerates_its_own_cells(monkeypatch):
     for _ in range(2):
         assert all(row.passed for row in verify.run_suite("weight", kmax=1, nmax=1))
     assert calls == cells(1, 1) * 2
+
+
+def spy_on(monkeypatch, module, name) -> list:
+    """Record the positional arguments of every call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_the_skew_suite_scans_once(monkeypatch):
+    scans = spy_on(monkeypatch, tableaux, "skew_denominator_scan")
+    passes = spy_on(monkeypatch, kernels, "ot_weight_profiles")
+    assert all(row.passed for row in verify.suite_skew())
+    assert scans == [(3, 4, 8)]
+    assert len(passes) == len(list(partitions_up_to(3))) == 7
+
+
+def test_the_stats_suite_builds_each_joint_distribution_once(monkeypatch):
+    calls = spy_on(monkeypatch, matchings, "joint_distribution")
+    assert all(row.passed for row in verify.suite_stats(6))
+    assert calls == [(n,) for n in range(2, 7)]
+
+
+def test_the_diffposet_suite_builds_the_c_rows_once(monkeypatch):
+    calls = spy_on(monkeypatch, diffposet, "c_rows")
+    assert all(row.passed for row in verify.suite_diffposet())
+    assert calls == [(12,)]
