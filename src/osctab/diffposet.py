@@ -11,7 +11,6 @@ closed forms are checked against.
 """
 
 from fractions import Fraction
-from math import comb
 from typing import Mapping, NamedTuple, Union
 
 from .errors import BoundExceededError
@@ -23,7 +22,7 @@ from .partitions import (
     covers_up,
     partitions_up_to,
 )
-from .util import double_factorial
+from .util import normal_order_coefficient
 
 FormalSum = dict[Partition, int]
 
@@ -142,13 +141,11 @@ def q_table(l_max: int) -> CoeffTable:
 
 
 def b_value(i: int, l: int) -> int:
-    """Closed form for the j = 0 column: C(l, i) * (l-i-1)!! when l - i is even.
+    """The j = 0 column of normal_order_coefficient: C(l, i) * (l-i-1)!! when l - i is even.
 
     Zero when l < i or l - i is odd; (l-i-1)!! is 1 at l = i.
     """
-    if i < 0 or l < i or (l - i) % 2:
-        return 0
-    return comb(l, i) * double_factorial(l - i - 1)
+    return normal_order_coefficient(i, 0, l)
 
 
 def c_rows(l_max: int) -> list[dict[int, int]]:

@@ -52,7 +52,7 @@ def format_matching(matching: PerfectMatching) -> str:
     return ",".join(f"{a}-{b}" for a, b in matching)
 
 
-def _check_bound(n: int) -> None:
+def check_bound(n: int) -> None:
     """Refuse an n past MAX_MATCHING_N, the one bound on matchings of [2n]."""
     if n > MAX_MATCHING_N:
         raise BoundExceededError(f"n = {n} exceeds the configured bound {MAX_MATCHING_N}")
@@ -64,7 +64,7 @@ def enumerate_matchings(n: int) -> Iterator[PerfectMatching]:
     The smallest free element is always paired next, with its partner
     ascending, which produces lexicographic order directly.
     """
-    _check_bound(n)
+    check_bound(n)
     free = list(range(1, 2 * n + 1))
 
     def rec(chosen: list[tuple[int, int]]) -> Iterator[PerfectMatching]:
@@ -111,7 +111,7 @@ def scan_matchings(n: int) -> Iterator[list[ScanRow]]:
     n = 8 in about 1.3 s.  The bound on n is checked when this is called,
     before the first batch is asked for.
     """
-    _check_bound(n)
+    check_bound(n)
     size = 2 * n
     tails: Tails = {}
     return (
@@ -234,7 +234,7 @@ def stats_table(n: int, fmt: str) -> Iterator[str]:
     the strings held grow with the States.  The area is computed once
     per distinct word.  The bound on n is checked when this is called.
     """
-    _check_bound(n)
+    check_bound(n)
     return _stats_pieces(n, *STATS_FORMATS[fmt])
 
 
@@ -289,7 +289,7 @@ def stats(matching: PerfectMatching) -> MatchingStats:
 
 def joint_distribution(n: int) -> Counter:
     """Multiset of (crossings, nestings, alignments) over all matchings of [2n]."""
-    _check_bound(n)
+    check_bound(n)
     return Counter(kernels.joint_distribution_counts(n))
 
 

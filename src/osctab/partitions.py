@@ -164,6 +164,27 @@ def num_syt(partition: Partition) -> int:
     return quotient
 
 
+def skew_syt_counts(outer: Partition) -> dict[Partition, int]:
+    """{inner: f^(outer/inner)} for every partition inner inside outer.
+
+    f^(outer/inner), the number of standard fillings of the skew diagram,
+    counts the chains that remove its boxes one at a time from outer down
+    to inner.  One pass down from outer, a size at a time, adds each
+    partition's count into every partition one box below it; outer maps
+    to 1 and () to num_syt(outer).  Keys run from outer down by size.
+    """
+    counts = {outer: 1}
+    level = counts
+    while level:
+        below: dict[Partition, int] = {}
+        for partition, count in level.items():
+            for smaller in covers_down(partition):
+                below[smaller] = below.get(smaller, 0) + count
+        counts.update(below)
+        level = below
+    return counts
+
+
 def enumerate_syt(partition: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every standard filling of the diagram as a tuple of rows.
 

@@ -3,9 +3,10 @@
 A walk of length l is a tuple of l+1 partitions in which consecutive
 entries differ by one box in either direction.  Walks starting at the
 empty partition are enumerated exactly, and their count and average
-weight are compared against closed forms; walks with a nonempty start
-are the skew variant, which has no closed form here: its weight
-profiles come from the walk DP in kernels, checked against enumeration.
+weight are compared against closed forms.  Walks with a nonempty start
+are the skew variant: the skew scan counts them and averages their
+weights from the normal-ordered (U + D)^l and skew tableau counts, and
+the walk DP in kernels and the enumeration here are its oracles.
 """
 
 from fractions import Fraction
@@ -28,8 +29,9 @@ from .partitions import (
     parse_partition,
     partitions_up_to,
     size,
+    skew_syt_counts,
 )
-from .util import double_factorial, max_enumeration_size
+from .util import double_factorial, max_enumeration_size, normal_order_coefficient
 
 
 def is_oscillating_tableau(steps: Sequence[Partition]) -> bool:
@@ -260,20 +262,39 @@ def skew_denominator_scan(max_start_size: int, max_shape_size: int, max_length: 
     """Reduced denominators of the average weight over a grid of skew walks.
 
     Covers every (start, shape, length) with the given size and length
-    bounds whose walk set is nonempty.  One kernel pass per start yields
-    the profiles of every shape and length; cases are visited start, then
-    shape, then length.
+    bounds whose walk set is nonempty, visited start, then shape, then
+    length.  Normal-ordering (U + D)^l by DU - UD = I gives, for walks
+    from mu to lambda with d = |lambda| - |mu|,
+
+        count   = sum_j b(j + d, j, l) g_j,
+        average = (l + 1) (|mu| + (l + 2d)/6 - E[j]/3),
+
+    where b is util.normal_order_coefficient, g_j sums
+    f^(mu/nu) f^(lambda/nu) over the partitions nu of |mu| - j inside
+    both, and E[j] is the mean of j under the count's terms.  No walk is
+    visited: g comes from the two partitions' skew_syt_counts once per
+    pair, and every length reads it.
     """
     records = []
     shapes = list(partitions_up_to(max_shape_size))
+    largest = max(max_start_size, max_shape_size)
+    skew_counts = {p: skew_syt_counts(p) for p in partitions_up_to(largest)}
     for start in partitions_up_to(max_start_size):
-        profiles = kernels.ot_weight_profiles(start, shapes, max_length)
+        mu = size(start)
         for shape in shapes:
-            for length in range(max_length + 1):
-                profile = profiles.get((shape, length))
-                if profile is None:
+            d = size(shape) - mu
+            g = [0] * (mu + 1)
+            for nu, f_start in skew_counts[start].items():
+                g[mu - size(nu)] += f_start * skew_counts[shape].get(nu, 0)
+            g_terms = [(j, g_j) for j, g_j in enumerate(g) if g_j]
+            # each step changes the size by one, so only lengths of d's parity have walks
+            for length in range(d % 2, max_length + 1, 2):
+                terms = [(j, normal_order_coefficient(j + d, j, length) * g_j) for j, g_j in g_terms]
+                count = sum(term for _, term in terms)
+                if not count:
                     continue
-                count = sum(profile)
-                total = sum(w * c for w, c in enumerate(profile))
-                records.append(ScanCase(start, shape, length, count, Fraction(total, count)))
+                lowered = sum(j * term for j, term in terms)  # count * E[j]
+                sixfold_total = (length + 1) * ((6 * mu + length + 2 * d) * count - 2 * lowered)
+                average = Fraction(sixfold_total, 6 * count)
+                records.append(ScanCase(start, shape, length, count, average))
     return ScanReport(records)

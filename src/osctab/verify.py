@@ -335,10 +335,38 @@ def suite_homomesy() -> list[CheckRow]:
     return rows
 
 
+def walk_dp_scan(max_start_size: int, max_shape_size: int, max_length: int) -> tableaux.ScanReport:
+    """tableaux.skew_denominator_scan's cases, from the walk DP instead of its closed form.
+
+    One kernels.ot_weight_profiles pass per start yields the weight
+    profiles of every shape and length; cases are visited start, then
+    shape, then length, as the closed-form scan visits them.
+    """
+    records = []
+    shapes = list(partitions_up_to(max_shape_size))
+    for start in partitions_up_to(max_start_size):
+        profiles = kernels.ot_weight_profiles(start, shapes, max_length)
+        for shape in shapes:
+            for length in range(max_length + 1):
+                profile = profiles.get((shape, length))
+                if profile is None:
+                    continue
+                count = sum(profile)
+                total = sum(w * c for w, c in enumerate(profile))
+                records.append(
+                    tableaux.ScanCase(start, shape, length, count, Fraction(total, count))
+                )
+    return tableaux.ScanReport(records)
+
+
 def suite_skew() -> list[CheckRow]:
-    """One skew-average denominator scan; its empty-start cases are the scan (0, 4, 8)."""
+    """One skew-average denominator scan; its empty-start cases are the scan (0, 4, 8).
+
+    The scan runs the walk DP (walk_dp_scan), a route that shares no
+    code with the closed form `skew-scan` runs.
+    """
     rows = []
-    skew = tableaux.skew_denominator_scan(3, 4, 8)
+    skew = walk_dp_scan(3, 4, 8)
     plain = tableaux.ScanReport([case for case in skew.records if not case.start])
     rows.append(
         CheckRow(
@@ -371,6 +399,9 @@ SUITES = {
 }
 
 
+# the suites whose nmax is the n of the matchings of [2n] they enumerate
+MATCHING_SUITES = ("rs", "stats")
+
 # The range overrides each suite takes: its parameter names, read from its
 # code (importing inspect would cost every run) here, before any caller
 # replaces a function in SUITES with a wrapper.
@@ -383,7 +414,9 @@ def run_suite(name: str, kmax: int | None = None, nmax: int | None = None) -> li
     """Run one suite (or all) with optional range overrides.
 
     A named suite refuses an override it does not take; "all" passes
-    each override only to the suites that take it.
+    each override only to the suites that take it.  An nmax past
+    matchings.MAX_MATCHING_N is refused, before any suite runs, by the
+    suites it reaches as a matching n.
     """
     given = {key: value for key, value in (("kmax", kmax), ("nmax", nmax)) if value is not None}
     if name != "all":
@@ -394,6 +427,8 @@ def run_suite(name: str, kmax: int | None = None, nmax: int | None = None) -> li
                 f"suite {name!r} takes no --{refused[0]} override "
                 f"(it takes {' '.join('--' + key for key in accepted) or 'none'})"
             )
+    if nmax is not None and name in ("all", *MATCHING_SUITES):
+        matchings.check_bound(nmax)  # before any suite has scanned the smaller n
     _walk_totals.cache_clear()
     rows = []
     for suite_name in SUITES if name == "all" else (name,):

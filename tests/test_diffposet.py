@@ -17,6 +17,7 @@ from osctab.errors import BoundExceededError
 from osctab.laurent import LaurentPolynomial
 from osctab.partitions import covers_up, num_syt, partitions_up_to, size
 from osctab.tableaux import weight_generating_function
+from osctab.util import normal_order_coefficient
 
 
 def test_apply_u_examples():
@@ -148,6 +149,18 @@ def test_b_value_matches_table():
     for l in range(13):
         for i in range(9):
             assert b_value(i, l) == table.b(i, 0, l)
+
+
+def test_normal_order_coefficient_equals_the_table_everywhere():
+    """The closed form b(i, j, l) against the recurrence's value at y = 1, j > 0 included."""
+    table = q_table(16)
+    nonzero = 0
+    for l in range(17):
+        for i in range(-1, l + 2):
+            for j in range(-1, l + 2):
+                assert normal_order_coefficient(i, j, l) == table.b(i, j, l), (i, j, l)
+                nonzero += table.b(i, j, l) != 0
+    assert nonzero == 525  # the entries with i + j <= l of l's parity
 
 
 def test_c_value_examples():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from osctab.errors import BoundExceededError, PartitionParseError
+from osctab.kernels import ot_weight_profile
 from osctab.partitions import (
     as_partition,
     box_step,
@@ -19,6 +20,7 @@ from osctab.partitions import (
     partitions_of_size,
     partitions_up_to,
     size,
+    skew_syt_counts,
 )
 
 
@@ -188,6 +190,29 @@ def test_enumerate_syt_bound():
 def test_syt_squares_sum_to_factorial():
     for m in range(9):
         assert sum(num_syt(p) ** 2 for p in partitions_of_size(m)) == factorial(m)
+
+
+def test_skew_syt_counts_at_the_empty_inner_are_num_syt():
+    for outer in partitions_up_to(10):
+        assert skew_syt_counts(outer)[()] == num_syt(outer)
+
+
+def test_skew_syt_counts_examples():
+    assert skew_syt_counts(()) == {(): 1}
+    assert skew_syt_counts((2, 1)) == {(2, 1): 1, (2,): 1, (1, 1): 1, (1,): 2, (): 2}
+    assert skew_syt_counts((3, 2))[(2,)] == 3  # the skew shape (3,2)/(2) has 3 fillings
+
+
+def test_skew_syt_counts_are_up_only_walk_counts():
+    """Every inner inside outer is a key, and each count is the walk DP's up-only count."""
+    for outer in partitions_up_to(7):
+        counts = skew_syt_counts(outer)
+        inside = [p for p in partitions_up_to(size(outer)) if cells(p) <= cells(outer)]
+        assert sorted(counts) == sorted(inside)
+        assert [size(p) for p in counts] == sorted(map(size, counts), reverse=True)
+        for inner, count in counts.items():
+            steps = size(outer) - size(inner)
+            assert count == sum(ot_weight_profile(inner, outer, steps))
 
 
 def test_partitions_of_size_order_and_count():

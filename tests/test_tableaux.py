@@ -1,11 +1,13 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from osctab import tableaux
+from osctab import kernels, tableaux, verify
 from osctab.cli import main
 from osctab.errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchError
 from osctab.laurent import LaurentPolynomial
@@ -378,9 +380,49 @@ def test_empty_start_cases_of_a_scan_are_the_plain_scan(grid):
 
 
 def test_scan_command_bytes_equal_the_per_cell_oracle(capsys, monkeypatch):
-    argv = ["skew-scan", "--max-mu", "2", "--max-shape", "3", "--max-length", "6", "--records"]
+    for mu, shape, length in ((2, 3, 6), (3, 4, 9)):  # (3, 4, 9): the benchmark's grid
+        argv = ["skew-scan", "--max-mu", str(mu), "--max-shape", str(shape)]
+        argv += ["--max-length", str(length), "--records"]
+        with monkeypatch.context() as patched:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            patched.setattr(tableaux, "skew_denominator_scan", per_cell_scan)
+            assert main(argv) == 0
+            assert out == capsys.readouterr().out
+
+
+def test_the_scan_command_runs_no_walk_dp(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "ot_weight_profiles", lambda *args: calls.append(args))
+    argv = ["skew-scan", "--max-mu", "3", "--max-shape", "4", "--max-length", "9", "--records"]
     assert main(argv) == 0
-    out = capsys.readouterr().out
-    monkeypatch.setattr(tableaux, "skew_denominator_scan", per_cell_scan)
-    assert main(argv) == 0
-    assert out == capsys.readouterr().out
+    assert json.loads(capsys.readouterr().out)["details"]["cases"] == 353
+    assert calls == []
+
+
+def test_the_closed_form_scan_equals_the_walk_dp_scan():
+    report = skew_denominator_scan(4, 5, 12)
+    assert report == verify.walk_dp_scan(4, 5, 12)
+    assert report.cases == 1230
+
+
+@cache
+def scan_cases(max_start_size, max_shape_size, max_length):
+    report = skew_denominator_scan(max_start_size, max_shape_size, max_length)
+    return {(case.start, case.shape, case.length): case for case in report.records}
+
+
+@given(
+    st.sampled_from(list(partitions_up_to(4))),
+    st.sampled_from(list(partitions_up_to(5))),
+    st.integers(0, 10),
+)
+@settings(deadline=None, max_examples=150)
+def test_scan_cases_equal_walk_enumeration(start, shape, length):
+    """Each cell's closed-form count and average against walk_totals; an absent cell has no walk."""
+    count, total = walk_totals(start, shape, length)
+    case = scan_cases(4, 5, 10).get((start, shape, length))
+    if case is None:
+        assert count == 0
+    else:
+        assert (case.count, case.average) == (count, Fraction(total, count))

@@ -1,6 +1,9 @@
-"""Each battery builds each of its inputs once: walk passes, scans, distributions, c rows."""
+"""Each battery builds each of its inputs once, and refuses an out-of-range n before any."""
+
+import pytest
 
 from osctab import diffposet, kernels, matchings, tableaux, verify
+from osctab.errors import BoundExceededError
 from osctab.partitions import partitions_up_to, size
 
 
@@ -55,11 +58,13 @@ def spy_on(monkeypatch, module, name) -> list:
 
 
 def test_the_skew_suite_scans_once(monkeypatch):
-    scans = spy_on(monkeypatch, tableaux, "skew_denominator_scan")
+    scans = spy_on(monkeypatch, verify, "walk_dp_scan")
+    closed_form_scans = spy_on(monkeypatch, tableaux, "skew_denominator_scan")
     passes = spy_on(monkeypatch, kernels, "ot_weight_profiles")
     assert all(row.passed for row in verify.suite_skew())
     assert scans == [(3, 4, 8)]
     assert len(passes) == len(list(partitions_up_to(3))) == 7
+    assert closed_form_scans == []
 
 
 def test_the_stats_suite_builds_each_joint_distribution_once(monkeypatch):
@@ -72,3 +77,13 @@ def test_the_diffposet_suite_builds_the_c_rows_once(monkeypatch):
     calls = spy_on(monkeypatch, diffposet, "c_rows")
     assert all(row.passed for row in verify.suite_diffposet())
     assert calls == [(12,)]
+
+
+@pytest.mark.parametrize("suite", ["rs", "stats", "all"])
+def test_an_nmax_past_the_matching_bound_is_refused_before_any_scan(monkeypatch, suite):
+    scans = spy_on(monkeypatch, matchings, "scan_matchings")
+    enumerations = spy_on(monkeypatch, matchings, "enumerate_matchings")
+    nmax = matchings.MAX_MATCHING_N + 1
+    with pytest.raises(BoundExceededError, match=f"^n = {nmax} exceeds the configured bound 8$"):
+        verify.run_suite(suite, nmax=nmax)
+    assert scans == enumerations == []
