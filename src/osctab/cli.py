@@ -32,7 +32,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import OsctabError
 from .partitions import format_partition, parse_partition, size
-from .util import joined, max_enumeration_size
+from .util import joined, max_enumeration_size, normal_order_coefficient
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -199,10 +199,10 @@ def cmd_avg_weight(args) -> RunReport:
 
 
 def cmd_gf(args) -> RunReport:
-    from . import tableaux
+    from . import diffposet
 
     shape = parse_partition(args.shape)
-    poly = tableaux.weight_generating_function(shape, args.length)
+    poly = diffposet.weight_generating_function(shape, args.length)
     return RunReport(
         "gf",
         {"shape": format_partition(shape), "length": args.length},
@@ -234,7 +234,7 @@ def cmd_b_table(args) -> None:
         for i in range(l + 1):
             if (l - i) % 2:
                 continue
-            lines.append(f"{i},{l},{diffposet.b_value(i, l)},{table.c(i, 0, l)}")
+            lines.append(f"{i},{l},{normal_order_coefficient(i, 0, l)},{table.c(i, 0, l)}")
     print("\n".join(lines))
 
 

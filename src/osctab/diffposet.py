@@ -7,7 +7,8 @@ powers per partition.  Expanding powers of (U + D) in normal order U^i D^j
 yields integer coefficient families, and a y-weighted refinement of the
 expansion yields Laurent-polynomial coefficients whose value and
 derivative at y = 1 give the walk counts and total walk weights that the
-closed forms are checked against.
+closed forms are checked against.  `gf` reads the table's column 0
+(weight_generating_function); walk counts are tableaux.walk_count's.
 """
 
 from fractions import Fraction
@@ -20,7 +21,9 @@ from .partitions import (
     cover_distance,  # unused here, but perfbench/tracing.py wraps this binding
     covers_down,
     covers_up,
+    num_syt,
     partitions_up_to,
+    size,
 )
 from .util import normal_order_coefficient
 
@@ -97,21 +100,17 @@ class CoeffTable:
     Built by the recurrence
         q[i, j](l+1) = y^(i-j) * (q[i-1, j](l) + q[i, j-1](l) + (i+1) q[i+1, j](l))
     from q[0, 0](0) = 1, with out-of-range entries zero.  An entry is
-    nonzero only when i + j <= l and i + j has the parity of l.
+    nonzero only when i + j <= l and i + j has the parity of l.  Only columns
+    j <= j_max are built (q reads zero past them); column j reads none past j.
     """
 
-    def __init__(self, l_max: int):
-        if l_max > DEFAULT_TABLE_BOUND:
-            raise BoundExceededError(
-                f"l_max {l_max} exceeds the configured bound {DEFAULT_TABLE_BOUND}"
-            )
-        self.l_max = l_max
+    def __init__(self, l_max: int, j_max: int):
         self._entries: dict[tuple[int, int, int], LaurentPolynomial] = {
             (0, 0, 0): LaurentPolynomial.one()
         }
         for l in range(l_max):
             for i in range(l + 2):
-                for j in range(l + 2 - i):
+                for j in range(min(l + 2 - i, j_max + 1)):
                     if (i + j) % 2 != (l + 1) % 2:
                         continue
                     poly = (
@@ -137,15 +136,17 @@ class CoeffTable:
 
 
 def q_table(l_max: int) -> CoeffTable:
-    return CoeffTable(l_max)
+    """Every column of the table up to l_max, which may not exceed DEFAULT_TABLE_BOUND."""
+    if l_max > DEFAULT_TABLE_BOUND:
+        raise BoundExceededError(
+            f"l_max {l_max} exceeds the configured bound {DEFAULT_TABLE_BOUND}"
+        )
+    return CoeffTable(l_max, l_max)
 
 
-def b_value(i: int, l: int) -> int:
-    """The j = 0 column of normal_order_coefficient: C(l, i) * (l-i-1)!! when l - i is even.
-
-    Zero when l < i or l - i is odd; (l-i-1)!! is 1 at l = i.
-    """
-    return normal_order_coefficient(i, 0, l)
+def weight_generating_function(shape: Partition, length: int) -> LaurentPolynomial:
+    """Sum of y**weight over the walks from () to shape: f^shape q[|shape|, 0](l), unbounded."""
+    return CoeffTable(length, 0).q(size(shape), 0, length).scale(num_syt(shape))
 
 
 def c_rows(l_max: int) -> list[dict[int, int]]:
@@ -165,8 +166,8 @@ def c_rows(l_max: int) -> list[dict[int, int]]:
             value = (
                 prev.get(i - 1, 0)
                 + (i + 1) * prev.get(i + 1, 0)
-                + i * b_value(i - 1, l)
-                + i * (i + 1) * b_value(i + 1, l)
+                + i * normal_order_coefficient(i - 1, 0, l)
+                + i * (i + 1) * normal_order_coefficient(i + 1, 0, l)
             )
             if value:
                 cur[i] = value

@@ -31,13 +31,12 @@ from .matchings import (
 from .partitions import Partition, conjugate, format_partition, size
 from .tableaux import (
     average_weight_formula,
-    cap_exceeded,
     count_formula,
     enumerate_ot,
     format_tableau,
+    refuse_over_cap,
     weight,
 )
-from .util import max_enumeration_size
 
 WeightedItem = tuple[str, int]
 
@@ -156,13 +155,11 @@ def divisibility_check(shape: Partition, n: int) -> bool:
 def tableau_items(shape: Partition, n: int) -> list[WeightedItem]:
     """The walks to `shape` of length |shape|+2n, keyed by text form, valued by weight.
 
-    A set of more than util.max_enumeration_size() walks raises the
-    BoundExceededError of enumerate_ot before any walk is enumerated.
+    A set of more than util.max_enumeration_size() walks is refused by
+    tableaux.refuse_over_cap before any walk is enumerated.
     """
-    cap = max_enumeration_size()
-    if count_formula(shape, n) > cap:
-        raise cap_exceeded(cap)
     length = size(shape) + 2 * n
+    refuse_over_cap((), tuple(shape), length)
     return [
         (format_tableau(t), weight(t)) for t in enumerate_ot((), tuple(shape), length)
     ]

@@ -4,10 +4,10 @@ Walk profiles and the joint (cr, ne, al) distribution are layered
 dynamic programmes: they advance a table of states one step at a time
 instead of visiting every walk or matching, so their cost grows with the
 number of states rather than with the number of objects counted.  The
-brute-force routes they replace (tableaux.enumerate_ot, enumerating
-matchings and classifying each) remain as test oracles.  The triple
-search likewise works on how many items carry each value, not on the
-items, and the tests hold it to a brute-force partition search.
+tests hold them to enumeration (tableaux.enumerate_ot, classifying each
+matching).  The walk DP is the oracle for the normal-ordering law behind
+every product walk count and `gf`: only `verify` and the tests run it.
+The triple search works on value counts, held to a brute-force search.
 
 Kernel contract
 ---------------

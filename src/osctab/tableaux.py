@@ -4,9 +4,10 @@ A walk of length l is a tuple of l+1 partitions in which consecutive
 entries differ by one box in either direction.  Walks starting at the
 empty partition are enumerated exactly, and their count and average
 weight are compared against closed forms.  Walks with a nonempty start
-are the skew variant: the skew scan counts them and averages their
-weights from the normal-ordered (U + D)^l and skew tableau counts, and
-the walk DP in kernels and the enumeration here are its oracles.
+are the skew variant.  walk_count counts any walk set, the cap refusals'
+included, from the normal-ordered (U + D)^l and skew tableau counts; the
+skew scan reads counts and average weights the same way, and `gf` lives
+in diffposet.  The walk DP in kernels and the enumeration are oracles.
 """
 
 from fractions import Fraction
@@ -15,9 +16,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchError
-from .laurent import LaurentPolynomial
 from .partitions import (
-    EMPTY,
     OscillatingTableau,
     Partition,
     box_step,
@@ -70,16 +69,10 @@ def cap_exceeded(cap: int) -> BoundExceededError:
 
 
 def refuse_over_cap(start: Partition, shape: Partition, length: int) -> None:
-    """Raise cap_exceeded, before any walk is enumerated, if over the cap.
-
-    Counts by the walk DP at each same-parity length upward.  An up-down
-    step first turns each walk two steps shorter into a distinct longer
-    one, so counts never fall and the first over-cap count settles it.
-    """
+    """Raise cap_exceeded, before any walk is enumerated, if walk_count exceeds the cap."""
     cap = max_enumeration_size()
-    for steps in range(length % 2, length + 1, 2):
-        if sum(weight_profile(start, shape, steps)) > cap:
-            raise cap_exceeded(cap)
+    if walk_count(start, shape, length) > cap:
+        raise cap_exceeded(cap)
 
 
 def _walks(
@@ -206,14 +199,25 @@ def average_weight_enumerated(
     return Fraction(total, count)
 
 
-def weight_generating_function(shape: Partition, length: int) -> LaurentPolynomial:
-    """Sum of y**weight over all walks from the empty partition to shape.
+def overlaps(
+    start_counts: dict[Partition, int], shape_counts: dict[Partition, int]
+) -> list[tuple[int, int]]:
+    """Nonzero (j, g_j) from skew_syt_counts(mu) and (lambda); g_j = <lambda| U^(j+d) D^j |mu>.
 
-    Evaluating at y = 1 recovers the walk count; the derivative at y = 1
-    recovers the total weight.
+    d = |lambda| - |mu|; g_j sums f^(mu/nu) f^(lambda/nu) over the nu of size |mu| - j in both.
     """
-    profile = weight_profile(EMPTY, shape, length)
-    return LaurentPolynomial({w: c for w, c in enumerate(profile) if c})
+    mu = size(next(iter(start_counts)))  # the first key is mu itself
+    g = [0] * (mu + 1)
+    for nu, f_start in start_counts.items():
+        g[mu - size(nu)] += f_start * shape_counts.get(nu, 0)
+    return [(j, g_j) for j, g_j in enumerate(g) if g_j]
+
+
+def walk_count(start: Partition, shape: Partition, length: int) -> int:
+    """The number of walks from start to shape: sum_j b(j + d, j, l) g_j, d = |shape| - |start|."""
+    d = size(shape) - size(start)
+    g_terms = overlaps(skew_syt_counts(start), skew_syt_counts(shape))
+    return sum(normal_order_coefficient(j + d, j, length) * g_j for j, g_j in g_terms)
 
 
 class ScanCase(NamedTuple):
@@ -269,11 +273,10 @@ def skew_denominator_scan(max_start_size: int, max_shape_size: int, max_length: 
         count   = sum_j b(j + d, j, l) g_j,
         average = (l + 1) (|mu| + (l + 2d)/6 - E[j]/3),
 
-    where b is util.normal_order_coefficient, g_j sums
-    f^(mu/nu) f^(lambda/nu) over the partitions nu of |mu| - j inside
-    both, and E[j] is the mean of j under the count's terms.  No walk is
-    visited: g comes from the two partitions' skew_syt_counts once per
-    pair, and every length reads it.
+    where b is util.normal_order_coefficient, g is overlaps' and E[j]
+    is the mean of j under the count's terms.  No walk is visited: g
+    comes from the two partitions' skew_syt_counts once per pair, and
+    every length reads it.
     """
     records = []
     shapes = list(partitions_up_to(max_shape_size))
@@ -283,10 +286,7 @@ def skew_denominator_scan(max_start_size: int, max_shape_size: int, max_length: 
         mu = size(start)
         for shape in shapes:
             d = size(shape) - mu
-            g = [0] * (mu + 1)
-            for nu, f_start in skew_counts[start].items():
-                g[mu - size(nu)] += f_start * skew_counts[shape].get(nu, 0)
-            g_terms = [(j, g_j) for j, g_j in enumerate(g) if g_j]
+            g_terms = overlaps(skew_counts[start], skew_counts[shape])
             # each step changes the size by one, so only lengths of d's parity have walks
             for length in range(d % 2, max_length + 1, 2):
                 terms = [(j, normal_order_coefficient(j + d, j, length) * g_j) for j, g_j in g_terms]

@@ -12,7 +12,7 @@ from itertools import chain, permutations
 from math import comb
 from typing import NamedTuple
 
-from . import diffposet, kernels, matchings, tableaux
+from . import diffposet, kernels, matchings, tableaux, util
 from .errors import OsctabError
 from .homomesy import (
     divisibility_check,
@@ -25,7 +25,7 @@ from .homomesy import (
     tableau_items,
 )
 from .laurent import LaurentPolynomial
-from .partitions import EMPTY, format_partition, num_syt, partitions_up_to, size
+from .partitions import EMPTY, Partition, format_partition, num_syt, partitions_up_to, size
 
 
 class CheckRow(NamedTuple):
@@ -44,6 +44,14 @@ def _row(name: str, lhs, rhs) -> CheckRow:
 _walk_totals = cache(tableaux.walk_totals)
 
 
+def _walk_cells(kmax: int, nmax: int) -> list[tuple[Partition, int, int, int, int]]:
+    """The count and weight suites' cells, (shape, |shape|, n, count, total), all capped first."""
+    cells = [(shape, size(shape), n) for shape in partitions_up_to(kmax) for n in range(nmax + 1)]
+    for shape, k, n in cells:
+        tableaux.refuse_over_cap(EMPTY, shape, k + 2 * n)
+    return [(shape, k, n, *_walk_totals(EMPTY, shape, k + 2 * n)) for shape, k, n in cells]
+
+
 def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
     """Enumerated walk counts against C(2n+k, k) (2n-1)!! f(shape).
 
@@ -51,17 +59,14 @@ def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
     enumeration, through the per-run cache _walk_totals.
     """
     rows = []
-    for shape in partitions_up_to(kmax):
-        k = size(shape)
-        for n in range(nmax + 1):
-            enumerated, _ = _walk_totals(EMPTY, shape, k + 2 * n)
-            rows.append(
-                _row(
-                    f"count shape={format_partition(shape)} n={n}",
-                    enumerated,
-                    tableaux.count_formula(shape, n),
-                )
+    for shape, k, n, enumerated, _ in _walk_cells(kmax, nmax):
+        rows.append(
+            _row(
+                f"count shape={format_partition(shape)} n={n}",
+                enumerated,
+                tableaux.count_formula(shape, n),
             )
+        )
     return rows
 
 
@@ -73,33 +78,30 @@ def suite_weight(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
     of both walks each cell once.
     """
     rows = []
-    for shape in partitions_up_to(kmax):
-        k = size(shape)
-        for n in range(nmax + 1):
-            count, total = _walk_totals(EMPTY, shape, k + 2 * n)
-            enumerated = Fraction(total, count)
-            formula = tableaux.average_weight_formula(k, n)
-            rows.append(
-                _row(
-                    f"avg-weight shape={format_partition(shape)} n={n}",
-                    enumerated,
-                    formula,
-                )
+    for shape, k, n, count, total in _walk_cells(kmax, nmax):
+        enumerated = Fraction(total, count)
+        formula = tableaux.average_weight_formula(k, n)
+        rows.append(
+            _row(
+                f"avg-weight shape={format_partition(shape)} n={n}",
+                enumerated,
+                formula,
             )
-            rows.append(
-                _row(
-                    f"avg-size shape={format_partition(shape)} n={n}",
-                    tableaux.average_size_formula(k, n),
-                    Fraction(n, 3) + Fraction(k, 2),
-                )
+        )
+        rows.append(
+            _row(
+                f"avg-size shape={format_partition(shape)} n={n}",
+                tableaux.average_size_formula(k, n),
+                Fraction(n, 3) + Fraction(k, 2),
             )
-            rows.append(
-                _row(
-                    f"avg-size-enumerated shape={format_partition(shape)} n={n}",
-                    enumerated / (2 * n + k + 1),
-                    Fraction(n, 3) + Fraction(k, 2),
-                )
+        )
+        rows.append(
+            _row(
+                f"avg-size-enumerated shape={format_partition(shape)} n={n}",
+                enumerated / (2 * n + k + 1),
+                Fraction(n, 3) + Fraction(k, 2),
             )
+        )
     return rows
 
 
@@ -116,7 +118,7 @@ def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
     l_max = 14
     table = diffposet.q_table(l_max)
     b_ok = all(
-        table.b(i, 0, l) == diffposet.b_value(i, l)
+        table.b(i, 0, l) == util.normal_order_coefficient(i, 0, l)
         for l in range(13)
         for i in range(l + 1)
     )

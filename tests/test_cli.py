@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from osctab import diffposet, matchings, tableaux
+from osctab import diffposet, kernels, matchings, tableaux
 from osctab.cli import build_parser, main
 from osctab.partitions import format_partition, parse_partition
 from osctab.tableaux import enumerate_ot
+from osctab.util import normal_order_coefficient
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 WORKLOADS_PY = SRC.parent / "perfbench" / "workloads.py"
@@ -137,14 +138,44 @@ def test_over_cap_walk_runs_refuse_before_the_walk_dfs(capsys, monkeypatch, argv
     assert entered
 
 
-def test_over_cap_refusal_stops_at_the_first_over_cap_length(capsys, monkeypatch):
-    lengths = []
-    real = tableaux.weight_profile
-    spy = lambda *cell: lengths.append(cell[2]) or real(*cell)  # noqa: E731
-    monkeypatch.setattr(tableaux, "weight_profile", spy)
-    monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # the walks of length 6 number 15
-    code, out, _ = run_cli(capsys, "enumerate", "--shape", "-", "--length", "40")
-    assert (code, out, lengths) == (2, "", [0, 2, 4, 6])
+@pytest.mark.parametrize("suite", ["count", "weight"])
+def test_an_over_cap_walk_battery_refuses_before_any_walk(capsys, monkeypatch, suite):
+    entered = []
+    real = tableaux._walks
+    monkeypatch.setattr(tableaux, "_walks", lambda *walk: entered.append(walk) or real(*walk))
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # n = 3 has 15 walks, n <= 2 fit
+    error = f"error: {tableaux.cap_exceeded(14)}\n"
+    argv = ("verify", "--suite", suite, "--kmax", "0", "--nmax", "3")
+    assert run_cli(capsys, *argv) == (2, "", error)
+    assert entered == []
+
+
+@pytest.mark.parametrize("argv, cap, status", [
+    (("gf", "--shape", "2,1", "--length", "11"), None, 0),
+    (("enumerate", "--mu", "1", "--shape", "2", "--length", "5"), None, 0),
+    (("enumerate", "--shape", "-", "--length", "40"), "14", 2),
+    (("avg-weight", "--mu", "2,1", "--shape", "2", "--length", "5"), None, 0),
+    (("avg-weight", "--mu", "2,1", "--shape", "2,1", "--length", "12"), "14", 2),
+    (("count", "--shape", "2,1", "--n", "2"), None, 0),
+    (("skew-scan", "--max-mu", "2", "--max-shape", "3", "--max-length", "6"), None, 0),
+    (("homomesy", "--target-set", "tableaux", "--shape", "1", "--n", "2"), None, 0),
+    (("homomesy", "--target-set", "tableaux", "--shape", "2,1", "--n", "7"), None, 2),  # over 10^7
+])
+def test_no_product_command_runs_the_walk_dp(capsys, monkeypatch, argv, cap, status):
+    """The walk DP is an oracle: product walk counts and `gf` come from normal ordering."""
+    calls = []
+    real = kernels.ot_weight_profiles
+    monkeypatch.setattr(kernels, "ot_weight_profiles", lambda *a: calls.append(a) or real(*a))
+    if cap is not None:
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", cap)
+    assert run_cli(capsys, *argv)[0] == status
+    assert calls == []
+
+
+def test_gf_past_the_table_bound_equals_the_golden(capsys):
+    code, out, err = run_cli(capsys, "gf", "--shape", "2,1", "--length", "31")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS["gf_2_1_31_sha256"]
 
 
 def test_avg_weight_formula_agreement(capsys):
@@ -348,7 +379,7 @@ def test_diffposet_b_table_equals_closed_form_and_recurrence(capsys):
         (i, l) for l in range(17) for i in range(l + 1) if (l - i) % 2 == 0
     ]
     for i, l, b, c in rows:
-        assert (b, c) == (diffposet.b_value(i, l), diffposet.c_rows(l)[l].get(i, 0))
+        assert (b, c) == (normal_order_coefficient(i, 0, l), diffposet.c_rows(l)[l].get(i, 0))
 
 
 def test_diffposet_verify_eq1(capsys):
@@ -701,7 +732,9 @@ def loaded_modules(argv):
     [
         ((), (), ENGINES),
         (("skew-scan", "--max-mu", "1", "--max-shape", "2", "--max-length", "3"),
-         ("tableaux",), ("verify", "diffposet", "homomesy", "matchings")),
+         ("tableaux",), ("verify", "diffposet", "homomesy", "matchings", "laurent")),
+        (("gf", "--shape", "2,1", "--length", "5"),
+         ("diffposet",), ("tableaux", "kernels", "matchings", "homomesy", "verify")),
         (("stats", "--n", "2"), ("matchings",), ("verify", "diffposet", "tableaux", "laurent")),
         (("homomesy", "--target-set", "matchings", "--n", "2"), ("homomesy",), ("verify", "diffposet")),
         (("verify", "--suite", "skew"), ENGINES, ()),

@@ -6,17 +6,17 @@ from osctab import diffposet
 from osctab.diffposet import (
     apply_D,
     apply_U,
-    b_value,
     c_rows,
     commutator_check,
     q_table,
     ud_straighten_check,
     verify_key_identity,
+    weight_generating_function,
 )
 from osctab.errors import BoundExceededError
 from osctab.laurent import LaurentPolynomial
-from osctab.partitions import covers_up, num_syt, partitions_up_to, size
-from osctab.tableaux import weight_generating_function
+from osctab.partitions import EMPTY, covers_up, num_syt, partitions_up_to, size
+from osctab.tableaux import weight_profile
 from osctab.util import normal_order_coefficient
 
 
@@ -124,6 +124,11 @@ def test_q_table_bound():
         q_table(17)
 
 
+def walk_dp_gf(shape, length) -> LaurentPolynomial:
+    """The walk generating function from the walk DP, a route that shares no code with the table."""
+    return LaurentPolynomial(dict(enumerate(weight_profile(EMPTY, shape, length))))
+
+
 def test_q_table_against_walk_generating_function():
     # the walk-level histogram is the independent check on the recurrence
     table = q_table(9)
@@ -131,24 +136,53 @@ def test_q_table_against_walk_generating_function():
         k = size(shape)
         f = num_syt(shape)
         for length in range(10):
-            assert table.q(k, 0, length).scale(f) == weight_generating_function(
-                shape, length
-            )
+            assert table.q(k, 0, length).scale(f) == walk_dp_gf(shape, length)
+
+
+def test_weight_generating_function_equals_the_walk_dp():
+    cells = 0
+    for shape in partitions_up_to(5):
+        for length in range(15):
+            gf = weight_generating_function(shape, length)
+            assert gf == walk_dp_gf(shape, length), (shape, length)
+            cells += not gf.is_zero()
+    assert cells == 112  # the (shape, length) pairs with walks: length >= |shape|, same parity
+
+
+def test_weight_generating_function_reads_only_column_0(monkeypatch):
+    built = []
+    real = diffposet.CoeffTable
+    spy = lambda *bounds: built.append(bounds) or real(*bounds)  # noqa: E731
+    monkeypatch.setattr(diffposet, "CoeffTable", spy)
+    diffposet.weight_generating_function((2, 1), 41)  # past q_table's bound, as `gf` allows
+    assert built == [(41, 0)]
+
+
+def test_a_partial_table_holds_its_columns_complete():
+    full = q_table(12)
+    for j_max in range(4):
+        partial = diffposet.CoeffTable(12, j_max)
+        for l in range(13):
+            for i in range(l + 1):
+                for j in range(l + 1 - i):
+                    expected = full.q(i, j, l) if j <= j_max else LaurentPolynomial.zero()
+                    assert partial.q(i, j, l) == expected, (i, j, l, j_max)
 
 
 def test_b_value_examples():
-    assert b_value(0, 4) == 3
-    assert b_value(1, 1) == 1
-    assert b_value(3, 5) == 10
-    assert b_value(2, 5) == 0  # parity
-    assert b_value(4, 2) == 0  # l < i
+    """Cases of the j = 0 column of normal_order_coefficient."""
+    assert normal_order_coefficient(0, 0, 4) == 3
+    assert normal_order_coefficient(1, 0, 1) == 1
+    assert normal_order_coefficient(3, 0, 5) == 10
+    assert normal_order_coefficient(2, 0, 5) == 0  # parity
+    assert normal_order_coefficient(4, 0, 2) == 0  # l < i
 
 
 def test_b_value_matches_table():
     table = q_table(12)
     for l in range(13):
         for i in range(9):
-            assert b_value(i, l) == table.b(i, 0, l)
+            assert normal_order_coefficient(i, 0, l) == table.b(i, 0, l)
 
 
 def test_normal_order_coefficient_equals_the_table_everywhere():
@@ -184,7 +218,7 @@ def test_c_times_f_is_total_weight():
             length = k + 2 * n
             if length > 9:
                 continue
-            gf = weight_generating_function(shape, length)
+            gf = walk_dp_gf(shape, length)
             assert table.c(k, 0, length) * num_syt(shape) == gf.derivative_at_one()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osctab import kernels, tableaux, verify
+from osctab.diffposet import weight_generating_function
 from osctab.cli import main
 from osctab.errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchError
 from osctab.laurent import LaurentPolynomial
@@ -30,10 +31,11 @@ from osctab.tableaux import (
     format_tableau,
     is_oscillating_tableau,
     parse_tableau,
+    refuse_over_cap,
     skew_denominator_scan,
+    walk_count,
     walk_totals,
     weight,
-    weight_generating_function,
     weight_profile,
 )
 
@@ -259,8 +261,50 @@ def test_walk_totals_cap_edges(monkeypatch):
             walk_totals(start, shape, length)
 
 
+def dp_counts(max_start_size, max_shape_size, max_length):
+    """{(start, shape, length): walk count} from the walk DP; a cell with no walk has no key."""
+    shapes = list(partitions_up_to(max_shape_size))
+    counts = {}
+    for start in partitions_up_to(max_start_size):
+        for (shape, length), profile in kernels.ot_weight_profiles(start, shapes, max_length).items():
+            counts[start, shape, length] = sum(profile)
+    return counts
+
+
+def test_walk_count_equals_the_walk_dp():
+    counts = dp_counts(4, 5, 12)
+    cells = [
+        (start, shape, length)
+        for start in partitions_up_to(4)
+        for shape in partitions_up_to(5)
+        for length in range(13)
+    ]
+    assert len(cells) == 2964
+    for cell in cells:
+        assert walk_count(*cell) == counts.get(cell, 0), cell
+
+
+def test_refuse_over_cap_raises_exactly_when_the_walks_outnumber_the_cap(monkeypatch):
+    counts = dp_counts(3, 4, 12)
+    raised = 0
+    for start in partitions_up_to(3):
+        for shape in partitions_up_to(4):
+            for length in range(13):
+                count = counts.get((start, shape, length), 0)
+                # the cap is positive, so a cell with no walk is tried at cap 1
+                for cap in (count, count - 1) if count > 1 else (1,):
+                    monkeypatch.setenv("OSCTAB_MAX_ENUM", str(cap))
+                    if count > cap:
+                        with pytest.raises(BoundExceededError, match=f"cap of {cap} walks$"):
+                            refuse_over_cap(start, shape, length)
+                        raised += 1
+                    else:
+                        refuse_over_cap(start, shape, length)
+    assert raised == sum(count > 1 for count in counts.values())
+
+
 def test_walk_counts_never_fall_as_the_length_grows_by_two():
-    # the over-cap refusal of enumerate and avg-weight stops at the first over-cap length
+    # an up-down step first turns each walk two steps shorter into a distinct longer one
     for start in partitions_up_to(3):
         for shape in partitions_up_to(4):
             counts = [sum(weight_profile(start, shape, length)) for length in range(13)]
