@@ -138,9 +138,7 @@ def cmd_enumerate(args) -> RunReport:
 
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
-    tableaux.refuse_over_cap(start, shape, args.length)
-    # two passes: "count" is written before "walks", without building a walk
-    count = tableaux.walk_totals(start, shape, args.length)[0]
+    count = tableaux.refuse_over_cap(start, shape, args.length)  # "count" comes before "walks"
     # each distinct partition is rendered once, indented as a walk's step in the report
     step_json = cache(lambda step: json.dumps(list(step), indent=2).replace("\n", "\n        "))
     walks = (
@@ -228,7 +226,7 @@ def cmd_q_table(args) -> RunReport:
 def cmd_b_table(args) -> None:
     from . import diffposet
 
-    table = diffposet.q_table(args.lmax)
+    table = diffposet.CoeffTable(args.lmax, 0)
     lines = ["i,l,b,c"]
     for l in range(args.lmax + 1):
         for i in range(l + 1):
@@ -241,8 +239,8 @@ def cmd_b_table(args) -> None:
 def cmd_verify_eq1(args) -> RunReport:
     from . import diffposet
 
-    # one table up to the largest length in the grid; past its bound this exits 2
-    table = diffposet.q_table(args.kmax + 2 * args.nmax)
+    # one column-0 table up to the largest length in the grid
+    table = diffposet.CoeffTable(args.kmax + 2 * args.nmax, 0)
     rows = []
     for k in range(args.kmax + 1):
         for n in range(args.nmax + 1):

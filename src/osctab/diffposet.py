@@ -14,7 +14,6 @@ closed forms are checked against.  `gf` reads the table's column 0
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from .errors import BoundExceededError
 from .laurent import LaurentPolynomial
 from .partitions import (
     Partition,
@@ -28,8 +27,6 @@ from .partitions import (
 from .util import normal_order_coefficient
 
 FormalSum = dict[Partition, int]
-
-DEFAULT_TABLE_BOUND = 16
 
 
 def as_formal_sum(value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
@@ -136,11 +133,7 @@ class CoeffTable:
 
 
 def q_table(l_max: int) -> CoeffTable:
-    """Every column of the table up to l_max, which may not exceed DEFAULT_TABLE_BOUND."""
-    if l_max > DEFAULT_TABLE_BOUND:
-        raise BoundExceededError(
-            f"l_max {l_max} exceeds the configured bound {DEFAULT_TABLE_BOUND}"
-        )
+    """Every column of the table up to l_max; readers of column 0 build CoeffTable(l_max, 0)."""
     return CoeffTable(l_max, l_max)
 
 

@@ -68,11 +68,13 @@ def cap_exceeded(cap: int) -> BoundExceededError:
     return BoundExceededError(f"enumeration exceeds the configured cap of {cap} walks")
 
 
-def refuse_over_cap(start: Partition, shape: Partition, length: int) -> None:
-    """Raise cap_exceeded, before any walk is enumerated, if walk_count exceeds the cap."""
+def refuse_over_cap(start: Partition, shape: Partition, length: int) -> int:
+    """walk_count, held to the cap before any walk is enumerated: past it, raise cap_exceeded."""
     cap = max_enumeration_size()
-    if walk_count(start, shape, length) > cap:
+    count = walk_count(start, shape, length)
+    if count > cap:
         raise cap_exceeded(cap)
+    return count
 
 
 def _walks(
@@ -216,6 +218,8 @@ def overlaps(
 def walk_count(start: Partition, shape: Partition, length: int) -> int:
     """The number of walks from start to shape: sum_j b(j + d, j, l) g_j, d = |shape| - |start|."""
     d = size(shape) - size(start)
+    if not start:  # g has the one term g_0 = f^shape
+        return normal_order_coefficient(d, 0, length) * num_syt(shape)
     g_terms = overlaps(skew_syt_counts(start), skew_syt_counts(shape))
     return sum(normal_order_coefficient(j + d, j, length) * g_j for j, g_j in g_terms)
 

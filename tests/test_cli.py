@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -135,7 +136,7 @@ def test_over_cap_walk_runs_refuse_before_the_walk_dfs(capsys, monkeypatch, argv
     assert entered == []
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "15")
     assert run_cli(capsys, *argv)[0] == 0
-    assert entered
+    assert len(entered) == 1  # `enumerate` prints the closed count, so it walks only to list
 
 
 @pytest.mark.parametrize("suite", ["count", "weight"])
@@ -399,12 +400,32 @@ def test_diffposet_verify_eq1_covers_the_requested_grid(capsys):
     code, out, _ = run_cli(capsys, "diffposet", "verify-eq1", "--kmax", "6", "--nmax", "5")
     assert code == 0
     assert len(json.loads(out)["details"]["checks"]) == 42
-    # k + 2n = 17 is past the coefficient table's bound
-    for kmax, nmax in (("17", "0"), ("1", "8")):
-        code, out, err = run_cli(capsys, "diffposet", "verify-eq1", "--kmax", kmax, "--nmax", nmax)
-        assert code == 2
-        assert out == ""
-        assert "exceeds the configured bound 16" in err
+    # k + 2n = 17: the table has no length bound
+    for kmax, nmax in ((17, 0), (1, 8)):
+        argv = ("diffposet", "verify-eq1", "--kmax", str(kmax), "--nmax", str(nmax))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        checks = json.loads(out)["details"]["checks"]
+        assert [(row["k"], row["n"]) for row in checks] == [
+            (k, n) for k in range(kmax + 1) for n in range(nmax + 1)
+        ]
+        assert all(row["passed"] for row in checks)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (("diffposet", "q-table", "--lmax", "6"), [(6, 6)]),
+    (("diffposet", "b-table", "--lmax", "5"), [(5, 0)]),
+    (("diffposet", "c-table"), [(12, 0)]),
+    (("diffposet", "verify-eq1", "--kmax", "3", "--nmax", "2"), [(7, 0)]),
+    (("verify", "--suite", "diffposet"), [(14, 0)]),
+])
+def test_a_command_builds_only_the_table_columns_it_reads(capsys, monkeypatch, argv, built):
+    calls = []
+    real = diffposet.CoeffTable
+    spy = lambda *bounds: calls.append(bounds) or real(*bounds)  # noqa: E731
+    monkeypatch.setattr(diffposet, "CoeffTable", spy)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == built
 
 
 def test_rs_forward_inverse(capsys):
@@ -745,6 +766,20 @@ def test_a_command_imports_only_what_it_runs(argv, loaded, absent):
     assert {f"osctab.{name}" for name in ("cli", *loaded)} <= modules
     assert not {f"osctab.{name}" for name in absent} & modules
     assert "dataclasses" not in modules
+
+
+def readme_cli_examples():
+    """The command lines of README's `## CLI` code block, without `osctab` and comments."""
+    section = (SRC.parent / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_the_readme_cli_examples_run(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) == 15
+    for argv in examples:
+        assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 def test_the_benchmark_command_lines_parse():

@@ -13,7 +13,6 @@ from osctab.diffposet import (
     verify_key_identity,
     weight_generating_function,
 )
-from osctab.errors import BoundExceededError
 from osctab.laurent import LaurentPolynomial
 from osctab.partitions import EMPTY, covers_up, num_syt, partitions_up_to, size
 from osctab.tableaux import weight_profile
@@ -119,9 +118,10 @@ def test_q_table_support_condition():
         assert not poly.is_zero()
 
 
-def test_q_table_bound():
-    with pytest.raises(BoundExceededError):
-        q_table(17)
+def test_q_table_has_no_length_bound():
+    full, column_0 = q_table(17), diffposet.CoeffTable(17, 0)
+    assert column_0._entries == {key: poly for key, poly in full._entries.items() if key[1] == 0}
+    assert column_0.q(17, 0, 17) == LaurentPolynomial({153: 1})  # one walk: weight 0 + 1 + ... + 17
 
 
 def walk_dp_gf(shape, length) -> LaurentPolynomial:
@@ -154,7 +154,7 @@ def test_weight_generating_function_reads_only_column_0(monkeypatch):
     real = diffposet.CoeffTable
     spy = lambda *bounds: built.append(bounds) or real(*bounds)  # noqa: E731
     monkeypatch.setattr(diffposet, "CoeffTable", spy)
-    diffposet.weight_generating_function((2, 1), 41)  # past q_table's bound, as `gf` allows
+    diffposet.weight_generating_function((2, 1), 41)
     assert built == [(41, 0)]
 
 

@@ -284,6 +284,22 @@ def test_walk_count_equals_the_walk_dp():
         assert walk_count(*cell) == counts.get(cell, 0), cell
 
 
+def test_walk_count_from_the_empty_start_equals_the_count_formula():
+    for shape in partitions_up_to(8):
+        for n in range(5):
+            assert walk_count((), shape, size(shape) + 2 * n) == count_formula(shape, n), (shape, n)
+
+
+def test_refuse_over_cap_from_the_empty_start_builds_no_skew_counts(monkeypatch):
+    calls = []
+    real = tableaux.skew_syt_counts
+    spy = lambda outer: calls.append(outer) or real(outer)  # noqa: E731
+    monkeypatch.setattr(tableaux, "skew_syt_counts", spy)
+    with pytest.raises(BoundExceededError, match=r"cap of \d+ walks$"):
+        refuse_over_cap((), (9,) * 9, 81)
+    assert calls == []
+
+
 def test_refuse_over_cap_raises_exactly_when_the_walks_outnumber_the_cap(monkeypatch):
     counts = dp_counts(3, 4, 12)
     raised = 0
@@ -299,7 +315,7 @@ def test_refuse_over_cap_raises_exactly_when_the_walks_outnumber_the_cap(monkeyp
                             refuse_over_cap(start, shape, length)
                         raised += 1
                     else:
-                        refuse_over_cap(start, shape, length)
+                        assert refuse_over_cap(start, shape, length) == count
     assert raised == sum(count > 1 for count in counts.values())
 
 
