@@ -13,8 +13,8 @@ search outcomes certificate/infeasible, 1 for a failed verification, 2
 for usage or input errors, 3 for an exhausted search budget, and 141 (as
 for a process killed by SIGPIPE) when the reader closes stdout early.  A
 report's details may be Streamed text that is computed while `main`
-writes it, so neither the stats table nor the enumerated walks sit in
-memory whole.
+writes it, so neither the stats table, the enumerated walks nor the
+q-table's JSON text sit in memory whole.
 
 Each handler imports the engine modules it runs, and the options that
 read engine constants (`homomesy`, `verify`) are added only when their
@@ -213,14 +213,24 @@ def cmd_q_table(args) -> RunReport:
     from . import diffposet
 
     table = diffposet.q_table(args.lmax)
-    entries = []
-    for l in range(args.lmax + 1):
-        for i in range(l + 1):
-            for j in range(l + 1 - i):
-                poly = table.q(i, j, l)
-                if not poly.is_zero():
-                    entries.append({"i": i, "j": j, "l": l, "poly": poly.to_json_dict()})
-    return RunReport("diffposet q-table", {"lmax": args.lmax}, "pass", {"entries": entries})
+
+    def entries() -> Iterator[str]:
+        """Each nonzero entry, indented as an item of "entries" in the report."""
+        for l in range(args.lmax + 1):
+            for i in range(l + 1):
+                for j in range(l + 1 - i):
+                    poly = table.q(i, j, l)
+                    if not poly.is_zero():
+                        entry = {"i": i, "j": j, "l": l, "poly": poly.to_json_dict()}
+                        yield "      " + json.dumps(entry, indent=2).replace("\n", "\n      ")
+
+    # q[0, 0](0) = 1, so the list is never empty
+    text = chain(
+        ['{\n    "entries": [\n'],
+        joined(entries(), ",\n", _ENTRIES_PER_WRITE),
+        ["\n    ]\n  }"],
+    )
+    return RunReport("diffposet q-table", {"lmax": args.lmax}, "pass", Streamed(text))
 
 
 def cmd_b_table(args) -> None:
@@ -304,6 +314,8 @@ def cmd_rs_roundtrip(args) -> RunReport:
 
 # Walks per write of `enumerate`: at length 14 a write stays under 52 KiB.
 _ROWS_PER_WRITE = 64
+# Entries per write of `diffposet q-table`: at --lmax 30 a write stays under 52 KiB.
+_ENTRIES_PER_WRITE = 8
 
 
 def cmd_stats(args) -> RunReport | None:

@@ -12,6 +12,7 @@ closed forms are checked against.  `gf` reads the table's column 0
 """
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, NamedTuple, Union
 
 from .laurent import LaurentPolynomial
@@ -63,31 +64,37 @@ def apply_D(value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
     return _apply(covers_down, value)
 
 
-def _straightening(partition: Partition, i_max: int) -> list[bool]:
+def _straightening(partition: Partition, i_max: int, up, down) -> list[bool]:
     """Entry i: whether D U^i p = U^i D p + i U^(i-1) p, for i = 0..i_max.
 
-    One chain each of U^i p and U^i D p; U^(i-1) p is the chain's previous step.
+    One chain each of U^i p and U^i D p; U^(i-1) p is the chain's previous
+    step.  U and D extend the cover functions `up` and `down`.
     """
-    prev, up, up_down = {}, {partition: 1}, apply_D(partition)
+    prev, ups, up_down = {}, {partition: 1}, _apply(down, partition)
     holds = []
     for i in range(i_max + 1):
         if i:
-            prev, up, up_down = up, apply_U(up), apply_U(up_down)
+            prev, ups, up_down = ups, _apply(up, ups), _apply(up, up_down)
         rhs = dict(up_down)
         for p, c in prev.items():
             _accumulate(rhs, p, i * c)
-        holds.append(apply_D(up) == rhs)
+        holds.append(_apply(down, ups) == rhs)
     return holds
 
 
 def commutator_check(partition: Partition) -> bool:
     """True when (DU - UD) p = p: the i = 1 case of the straightening rule."""
-    return _straightening(partition, 1)[1]
+    return _straightening(partition, 1, covers_up, covers_down)[1]
 
 
 def ud_straighten_check(i_max: int, bound: int) -> list[bool]:
-    """Entry i: whether D U^i = U^i D + i U^(i-1) on every |p| <= bound, for i = 0..i_max."""
-    rows = [_straightening(p, i_max) for p in partitions_up_to(bound)]
+    """Entry i: whether D U^i = U^i D + i U^(i-1) on every |p| <= bound, for i = 0..i_max.
+
+    The chains of different partitions meet, so each distinct partition's
+    covers are listed once per call, read through this module's bindings.
+    """
+    up, down = cache(covers_up), cache(covers_down)
+    rows = [_straightening(p, i_max, up, down) for p in partitions_up_to(bound)]
     return [all(row[i] for row in rows) for i in range(i_max + 1)]
 
 

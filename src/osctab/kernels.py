@@ -16,10 +16,12 @@ joint_distribution_counts(n)       -> {(cr, ne, al): count} over all matchings o
 ot_weight_profile(start, shape, l) -> list c with c[w] = number of length-l
                                       lattice walks start -> shape of weight w
                                       (trailing zeros trimmed)
-ot_weight_profiles(start, shapes, L)
-                                   -> {(shape, l): ot_weight_profile(start, shape, l)}
-                                      for every shape in shapes and 0 <= l <= L, from
-                                      one pass; a pair with no walk has no key
+ot_weight_profiles(starts, shapes, L)
+                                   -> {(start, shape, l): ot_weight_profile(start, shape, l)}
+                                      for every start in starts, shape in shapes and
+                                      0 <= l <= L, one pass per start sharing one move
+                                      table and one nearest-shape distance table;
+                                      a triple with no walk has no key
 triple_search(values, target, node_budget, time_budget, mate)
                                    -> (status, triples, nodes); status is the
                                       report name STATUS_FOUND "certificate",
@@ -105,32 +107,33 @@ def ot_weight_profile(
 ) -> list[int]:
     """Weight histogram of all length-`length` walks from start to shape.
 
-    The one-shape case of ot_weight_profiles.  The box distance changes
-    by one per step, so when its parity or size rules the walks out no
-    layer is built.
+    The one-start, one-shape case of ot_weight_profiles.  The box
+    distance changes by one per step, so when its parity or size rules
+    the walks out no layer is built.
     """
     distance = cover_distance(start, shape)
     if distance > length or (length - distance) % 2:
         return []
-    return ot_weight_profiles(start, (shape,), length)[shape, length]
+    return ot_weight_profiles((start,), (shape,), length)[start, shape, length]
 
 
 def ot_weight_profiles(
-    start: tuple[int, ...], shapes: Iterable[tuple[int, ...]], max_length: int
-) -> dict[tuple[tuple[int, ...], int], list[int]]:
-    """Weight histograms of the walks from start to each shape, at every length.
+    starts: Iterable[tuple[int, ...]], shapes: Iterable[tuple[int, ...]], max_length: int
+) -> dict[tuple[tuple[int, ...], tuple[int, ...], int], list[int]]:
+    """Weight histograms of the walks from each start to each shape, at every length.
 
-    Keeps, for every partition a walk can occupy after t steps, the
-    histogram {weight so far: walks} and advances all of them by one
-    single-box move per step (the U + D transfer of the differential
-    poset).  After step t the layer's entry at each shape is the profile
-    of the length-t walks to it, so one pass serves every length up to
-    max_length.  A partition is kept only while its box distance to the
-    nearest shape fits in the steps left; since any walk to a shape
-    passes only through partitions within that reach, no walk counted
-    in a profile is lost.  The moves out of each distinct partition, and
-    each partition's distance to the nearest shape, are computed once per
-    call.  Lengths with no walk have no key.
+    From each start in turn, keeps, for every partition a walk can occupy
+    after t steps, the histogram {weight so far: walks} and advances all
+    of them by one single-box move per step (the U + D transfer of the
+    differential poset).  After step t the layer's entry at each shape is
+    the profile of the length-t walks to it, so one pass per start serves
+    every length up to max_length.  A partition is kept only while its box
+    distance to the nearest shape fits in the steps left; since any walk
+    to a shape passes only through partitions within that reach, no walk
+    counted in a profile is lost.  Neither the moves out of a partition
+    nor its distance to the nearest shape depends on the start, so each
+    is computed once per call.  Keys are (start, shape, length); a triple
+    with no walk has no key.
     """
     shapes = list(dict.fromkeys(shapes))
     if not shapes:
@@ -144,31 +147,34 @@ def ot_weight_profiles(
             distance = reach[partition] = min(cover_distance(partition, s) for s in shapes)
         return distance
 
-    profiles: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    layer: dict[tuple[int, ...], dict[int, int]] = {start: {sum(start): 1}}
-    for length in range(max_length + 1):
-        for shape in shapes:
-            histogram = layer.get(shape)
-            if histogram:
-                profiles[shape, length] = [histogram.get(w, 0) for w in range(max(histogram) + 1)]
-        if length == max_length:
-            break
-        remaining = max_length - length - 1  # steps left after the next one
-        following: dict[tuple[int, ...], dict[int, int]] = {}
-        for partition, histogram in layer.items():
-            table = moves.get(partition)
-            if table is None:
-                table = moves[partition] = [
-                    (nxt, sum(nxt), near(nxt))
-                    for nxt in covers_up(partition) + covers_down(partition)
-                ]
-            for nxt, new_size, distance in table:
-                if distance > remaining:
-                    continue
-                target = following.setdefault(nxt, {})
-                for w, c in histogram.items():
-                    target[w + new_size] = target.get(w + new_size, 0) + c
-        layer = following
+    profiles: dict[tuple[tuple[int, ...], tuple[int, ...], int], list[int]] = {}
+    for start in dict.fromkeys(starts):
+        layer: dict[tuple[int, ...], dict[int, int]] = {start: {sum(start): 1}}
+        for length in range(max_length + 1):
+            for shape in shapes:
+                histogram = layer.get(shape)
+                if histogram:
+                    profiles[start, shape, length] = [
+                        histogram.get(w, 0) for w in range(max(histogram) + 1)
+                    ]
+            if length == max_length:
+                break
+            remaining = max_length - length - 1  # steps left after the next one
+            following: dict[tuple[int, ...], dict[int, int]] = {}
+            for partition, histogram in layer.items():
+                table = moves.get(partition)
+                if table is None:
+                    table = moves[partition] = [
+                        (nxt, sum(nxt), near(nxt))
+                        for nxt in covers_up(partition) + covers_down(partition)
+                    ]
+                for nxt, new_size, distance in table:
+                    if distance > remaining:
+                        continue
+                    target = following.setdefault(nxt, {})
+                    for w, c in histogram.items():
+                        target[w + new_size] = target.get(w + new_size, 0) + c
+            layer = following
     return profiles
 
 

@@ -25,7 +25,15 @@ from .homomesy import (
     tableau_items,
 )
 from .laurent import LaurentPolynomial
-from .partitions import EMPTY, Partition, format_partition, num_syt, partitions_up_to, size
+from .partitions import (
+    EMPTY,
+    OscillatingTableau,
+    Partition,
+    format_partition,
+    num_syt,
+    partitions_up_to,
+    size,
+)
 
 
 class CheckRow(NamedTuple):
@@ -145,12 +153,12 @@ def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
                 )
             )
     shapes = list(partitions_up_to(3))
-    profiles = kernels.ot_weight_profiles(EMPTY, shapes, 9)
+    profiles = kernels.ot_weight_profiles((EMPTY,), shapes, 9)
     for shape in shapes:
         k = size(shape)
         f_shape = num_syt(shape)
         for l in range(10):
-            gf = LaurentPolynomial(dict(enumerate(profiles.get((shape, l), []))))
+            gf = LaurentPolynomial(dict(enumerate(profiles.get((EMPTY, shape, l), []))))
             rows.append(
                 _row(
                     f"q[{k},0]({l}) * f vs walk gf, shape={format_partition(shape)}",
@@ -162,10 +170,16 @@ def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
 
 
 def suite_rs(nmax: int = 5) -> list[CheckRow]:
-    """Bijectivity, projection preservation, and the weight transfer formula."""
+    """Bijectivity, projection preservation, and the weight transfer formula.
+
+    Each matching's image is decoded once: the steps that
+    matchings.tableau_to_matching reads (_walk_steps, then _unwalk) also
+    give the image's word, and the inverse round trip reuses the result.
+    """
     rows = []
     for n in range(1, nmax + 1):
-        images = set()
+        # image walk -> whether tableau_to_matching returned the matching that produced it
+        images: dict[OscillatingTableau, bool] = {}
         round_ok = True
         dyck_ok = True
         weight_ok = True
@@ -173,10 +187,12 @@ def suite_rs(nmax: int = 5) -> list[CheckRow]:
         for m in matchings.enumerate_matchings(n):
             count += 1
             t = matchings.matching_to_tableau(m)
-            images.add(t)
-            if matchings.tableau_to_matching(t) != m:
+            steps = matchings._walk_steps(t)
+            images[t] = matchings._unwalk(steps) == m
+            if not images[t]:
                 round_ok = False
-            if matchings.dyck_of_matching(m) != matchings.dyck_of_tableau(t):
+            word = "".join("1" if sign > 0 else "0" for _, sign in steps)
+            if matchings.dyck_of_matching(m) != word:
                 dyck_ok = False
             if tableaux.weight(t) != matchings.weight_via_matching(m):
                 weight_ok = False
@@ -184,6 +200,10 @@ def suite_rs(nmax: int = 5) -> list[CheckRow]:
         inverse_round_ok = True
         for t in tableaux.enumerate_ot((), (), 2 * n):
             ot_count += 1
+            # an entry True means t = m2t(m) and t2m(t) = m for some m, so
+            # m2t(t2m(t)) = m2t(m) = t holds without running either map again
+            if images.get(t):
+                continue
             if matchings.matching_to_tableau(matchings.tableau_to_matching(t)) != t:
                 inverse_round_ok = False
         rows.append(_row(f"rs injective n={n}", len(images), count))
@@ -342,17 +362,18 @@ def suite_homomesy() -> list[CheckRow]:
 def walk_dp_scan(max_start_size: int, max_shape_size: int, max_length: int) -> tableaux.ScanReport:
     """tableaux.skew_denominator_scan's cases, from the walk DP instead of its closed form.
 
-    One kernels.ot_weight_profiles pass per start yields the weight
-    profiles of every shape and length; cases are visited start, then
-    shape, then length, as the closed-form scan visits them.
+    One kernels.ot_weight_profiles call yields the weight profiles of
+    every start, shape and length; cases are visited start, then shape,
+    then length, as the closed-form scan visits them.
     """
     records = []
+    starts = list(partitions_up_to(max_start_size))
     shapes = list(partitions_up_to(max_shape_size))
-    for start in partitions_up_to(max_start_size):
-        profiles = kernels.ot_weight_profiles(start, shapes, max_length)
+    profiles = kernels.ot_weight_profiles(starts, shapes, max_length)
+    for start in starts:
         for shape in shapes:
             for length in range(max_length + 1):
-                profile = profiles.get((shape, length))
+                profile = profiles.get((start, shape, length))
                 if profile is None:
                     continue
                 count = sum(profile)

@@ -325,6 +325,15 @@ def test_stats_streams_in_bounded_writes(monkeypatch, fmt):
     assert len(out.writes) <= -(-len(rows) // 64) + fixed
 
 
+def test_q_table_streams_in_bounded_writes(monkeypatch):
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["diffposet", "q-table", "--lmax", "30"]) == 0
+    assert max(len(text.encode()) for text in out.writes) <= 64 * 1024
+    entries = json.loads("".join(out.writes))["details"]["entries"]
+    assert len(entries) == len(diffposet.q_table(30)._entries) == 2856
+
+
 def test_enumerate_streams_in_bounded_writes(monkeypatch):
     out = WriteRecorder()
     monkeypatch.setattr(sys, "stdout", out)
@@ -359,6 +368,13 @@ def test_diffposet_q_table(capsys):
     }
     assert entries[(0, 0, 4)] == {"2": "1", "4": "2"}
     assert entries[(1, 0, 1)] == {"1": "1"}
+
+
+@pytest.mark.parametrize("lmax", sorted(GOLDENS["q_table_sha256"], key=int))
+def test_q_table_bytes_equal_the_golden(capsys, lmax):
+    code, out, err = run_cli(capsys, "diffposet", "q-table", "--lmax", lmax)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS["q_table_sha256"][lmax]
 
 
 def test_diffposet_tables_csv(capsys):

@@ -14,7 +14,7 @@ from osctab.diffposet import (
     weight_generating_function,
 )
 from osctab.laurent import LaurentPolynomial
-from osctab.partitions import EMPTY, covers_up, num_syt, partitions_up_to, size
+from osctab.partitions import EMPTY, covers_down, covers_up, num_syt, partitions_up_to, size
 from osctab.tableaux import weight_profile
 from osctab.util import normal_order_coefficient
 
@@ -99,6 +99,17 @@ def test_straighten_builds_one_chain_of_powers_per_partition(monkeypatch, bound)
     holds = ud_straighten_check(i_max, bound)
     assert 0 < len(calls) <= budget
     assert holds == [True] * (i_max + 1)
+
+
+def test_straighten_lists_each_partitions_covers_once(monkeypatch):
+    calls = {"covers_up": [], "covers_down": []}
+    for name, real in (("covers_up", covers_up), ("covers_down", covers_down)):
+        spy = lambda p, name=name, real=real: calls[name].append(p) or real(p)  # noqa: E731
+        monkeypatch.setattr(diffposet, name, spy)
+    assert ud_straighten_check(6, 6) == [True] * 7
+    # the chains from |p| <= 6 climb through every partition of size <= 11, and D reads size 12
+    assert sorted(calls["covers_up"]) == sorted(partitions_up_to(11))
+    assert sorted(calls["covers_down"]) == sorted(partitions_up_to(12))
 
 
 def test_q_table_entries():

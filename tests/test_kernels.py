@@ -42,12 +42,22 @@ small_partition_st = st.sampled_from(list(partitions_up_to(4)))
 )
 @settings(deadline=None, max_examples=25)
 def test_profiles_equal_enumerated_weights(start, shapes, max_length):
-    profiles = kernels.ot_weight_profiles(start, shapes, max_length)
+    profiles = kernels.ot_weight_profiles((start,), shapes, max_length)
     assert all(profiles.values())
-    grid = {(shape, length) for shape in shapes for length in range(max_length + 1)}
+    grid = {(start, shape, length) for shape in shapes for length in range(max_length + 1)}
     assert set(profiles) <= grid
-    for shape, length in grid:
-        assert profiles.get((shape, length), []) == enumerated_profile(start, shape, length)
+    for cell in grid:
+        assert profiles.get(cell, []) == enumerated_profile(*cell)
+
+
+def test_one_multi_start_call_equals_the_one_start_calls():
+    starts, shapes = list(partitions_up_to(4)), list(partitions_up_to(5))
+    together = kernels.ot_weight_profiles(starts, shapes, 12)
+    apart = {}
+    for start in starts:
+        apart.update(kernels.ot_weight_profiles((start,), shapes, 12))
+    assert together == apart
+    assert {start for start, _, _ in together} == set(starts)
 
 
 def test_profile_mismatch_builds_no_layer(monkeypatch):

@@ -263,12 +263,10 @@ def test_walk_totals_cap_edges(monkeypatch):
 
 def dp_counts(max_start_size, max_shape_size, max_length):
     """{(start, shape, length): walk count} from the walk DP; a cell with no walk has no key."""
-    shapes = list(partitions_up_to(max_shape_size))
-    counts = {}
-    for start in partitions_up_to(max_start_size):
-        for (shape, length), profile in kernels.ot_weight_profiles(start, shapes, max_length).items():
-            counts[start, shape, length] = sum(profile)
-    return counts
+    profiles = kernels.ot_weight_profiles(
+        partitions_up_to(max_start_size), partitions_up_to(max_shape_size), max_length
+    )
+    return {cell: sum(profile) for cell, profile in profiles.items()}
 
 
 def test_walk_count_equals_the_walk_dp():

@@ -63,7 +63,9 @@ def test_the_skew_suite_scans_once(monkeypatch):
     passes = spy_on(monkeypatch, kernels, "ot_weight_profiles")
     assert all(row.passed for row in verify.suite_skew())
     assert scans == [(3, 4, 8)]
-    assert len(passes) == len(list(partitions_up_to(3))) == 7
+    # one walk DP call serves all 7 starts of size <= 3
+    assert len(passes) == 1
+    assert passes[0][0] == list(partitions_up_to(3))
     assert closed_form_scans == []
 
 
@@ -87,3 +89,56 @@ def test_an_nmax_past_the_matching_bound_is_refused_before_any_scan(monkeypatch,
     with pytest.raises(BoundExceededError, match=f"^n = {nmax} exceeds the configured bound 8$"):
         verify.run_suite(suite, nmax=nmax)
     assert scans == enumerations == []
+
+
+def rs_rows(rows, n) -> dict[str, bool]:
+    """{check name without " n=...": passed} for the rows of one n."""
+    suffix = f" n={n}"
+    return {row.name.removesuffix(suffix): row.passed for row in rows if row.name.endswith(suffix)}
+
+
+def test_the_rs_suite_maps_each_matching_once(monkeypatch):
+    forward = spy_on(monkeypatch, matchings, "matching_to_tableau")
+    inverse = spy_on(monkeypatch, matchings, "tableau_to_matching")
+    assert all(row.passed for row in verify.suite_rs(5))
+    # 1 + 3 + 15 + 105 + 945 matchings, each mapped once; every walk is an
+    # image whose matching came back, so the inverse round trip maps none again
+    assert len(forward) == 1069
+    assert inverse == []
+
+
+def test_the_rs_suite_fails_where_the_inverse_breaks_for_one_walk(monkeypatch):
+    broken = matchings.matching_to_tableau(matchings.parse_matching("1-4,2-3,5-6"))
+    real = matchings._unwalk
+
+    def unwalk(steps):
+        if steps == matchings._walk_steps(broken):
+            return matchings.parse_matching("1-2,3-4,5-6")
+        return real(steps)
+
+    # tableau_to_matching(t) is _unwalk of t's steps, so it breaks for `broken` alone
+    monkeypatch.setattr(matchings, "_unwalk", unwalk)
+    assert matchings.tableau_to_matching(broken) != matchings.parse_matching("1-4,2-3,5-6")
+    rows = verify.suite_rs(4)
+    for n in (1, 2, 4):
+        assert all(rs_rows(rows, n).values())
+    assert rs_rows(rows, 3) == {
+        "rs injective": True,
+        "rs image size": True,
+        "rs roundtrip": False,
+        "rs inverse roundtrip": False,
+        "rs word preserved": True,
+        "rs weight formula": True,
+    }
+
+
+def test_the_rs_suite_fails_where_two_matchings_share_a_walk(monkeypatch):
+    real = matchings.matching_to_tableau
+    twin, target = matchings.parse_matching("1-4,2-3,5-6"), matchings.parse_matching("1-2,3-4,5-6")
+    monkeypatch.setattr(
+        matchings, "matching_to_tableau", lambda m: real(target if m == twin else m)
+    )
+    rows = rs_rows(verify.suite_rs(3), 3)
+    assert rows["rs injective"] is False
+    assert rows["rs image size"] is False
+    assert rows["rs roundtrip"] is False
