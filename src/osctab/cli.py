@@ -212,17 +212,12 @@ def cmd_gf(args) -> RunReport:
 def cmd_q_table(args) -> RunReport:
     from . import diffposet
 
-    table = diffposet.q_table(args.lmax)
-
     def entries() -> Iterator[str]:
         """Each nonzero entry, indented as an item of "entries" in the report."""
-        for l in range(args.lmax + 1):
-            for i in range(l + 1):
-                for j in range(l + 1 - i):
-                    poly = table.q(i, j, l)
-                    if not poly.is_zero():
-                        entry = {"i": i, "j": j, "l": l, "poly": poly.to_json_dict()}
-                        yield "      " + json.dumps(entry, indent=2).replace("\n", "\n      ")
+        for l, level in enumerate(diffposet.q_table(args.lmax)):
+            for (i, j), poly in level.items():
+                entry = {"i": i, "j": j, "l": l, "poly": poly.to_json_dict()}
+                yield "      " + json.dumps(entry, indent=2).replace("\n", "\n      ")
 
     # q[0, 0](0) = 1, so the list is never empty
     text = chain(
@@ -236,25 +231,24 @@ def cmd_q_table(args) -> RunReport:
 def cmd_b_table(args) -> None:
     from . import diffposet
 
-    table = diffposet.CoeffTable(args.lmax, 0)
-    lines = ["i,l,b,c"]
-    for l in range(args.lmax + 1):
-        for i in range(l + 1):
-            if (l - i) % 2:
-                continue
-            lines.append(f"{i},{l},{normal_order_coefficient(i, 0, l)},{table.c(i, 0, l)}")
-    print("\n".join(lines))
+    # column 0 of level l holds i = l, l - 2, ..., every entry nonzero
+    print("i,l,b,c")
+    for l, level in enumerate(diffposet.q_levels(args.lmax, 0)):
+        print("\n".join(
+            f"{i},{l},{normal_order_coefficient(i, 0, l)},{q.derivative_at_one()}"
+            for (i, _), q in level.items()
+        ))
 
 
 def cmd_verify_eq1(args) -> RunReport:
     from . import diffposet
 
-    # one column-0 table up to the largest length in the grid
-    table = diffposet.CoeffTable(args.kmax + 2 * args.nmax, 0)
+    # column 0 of every level up to the largest length in the grid
+    levels = list(diffposet.q_levels(args.kmax + 2 * args.nmax, 0))
     rows = []
     for k in range(args.kmax + 1):
         for n in range(args.nmax + 1):
-            rep = diffposet.verify_key_identity(k, n, table)
+            rep = diffposet.verify_key_identity(k, n, levels)
             rows.append(
                 {
                     "k": k,

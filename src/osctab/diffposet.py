@@ -7,13 +7,14 @@ powers per partition.  Expanding powers of (U + D) in normal order U^i D^j
 yields integer coefficient families, and a y-weighted refinement of the
 expansion yields Laurent-polynomial coefficients whose value and
 derivative at y = 1 give the walk counts and total walk weights that the
-closed forms are checked against.  `gf` reads the table's column 0
-(weight_generating_function); walk counts are tableaux.walk_count's.
+closed forms are checked against, one length l at a time (q_levels).  `gf`
+keeps only column 0's last level (weight_generating_function); walk counts
+are tableaux.walk_count's.
 """
 
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .laurent import LaurentPolynomial
 from .partitions import (
@@ -82,11 +83,6 @@ def _straightening(partition: Partition, i_max: int, up, down) -> list[bool]:
     return holds
 
 
-def commutator_check(partition: Partition) -> bool:
-    """True when (DU - UD) p = p: the i = 1 case of the straightening rule."""
-    return _straightening(partition, 1, covers_up, covers_down)[1]
-
-
 def ud_straighten_check(i_max: int, bound: int) -> list[bool]:
     """Entry i: whether D U^i = U^i D + i U^(i-1) on every |p| <= bound, for i = 0..i_max.
 
@@ -98,55 +94,48 @@ def ud_straighten_check(i_max: int, bound: int) -> list[bool]:
     return [all(row[i] for row in rows) for i in range(i_max + 1)]
 
 
-class CoeffTable:
-    """Laurent-polynomial coefficients q[i, j](l) of the weighted expansion.
+QLevel = dict[tuple[int, int], LaurentPolynomial]
 
-    Built by the recurrence
+
+def q_levels(l_max: int, j_max: int) -> Iterator[QLevel]:
+    """Level l = 0..l_max of the Laurent-polynomial coefficients q[i, j](l).
+
+    Each level maps (i, j) to q[i, j](l) for the nonzero entries with
+    j <= j_max, i ascending and then j, and is built from the level before:
         q[i, j](l+1) = y^(i-j) * (q[i-1, j](l) + q[i, j-1](l) + (i+1) q[i+1, j](l))
     from q[0, 0](0) = 1, with out-of-range entries zero.  An entry is
-    nonzero only when i + j <= l and i + j has the parity of l.  Only columns
-    j <= j_max are built (q reads zero past them); column j reads none past j.
+    nonzero only when i + j <= l and i + j has the parity of l; column j
+    reads none past j, so the columns kept are complete.
     """
-
-    def __init__(self, l_max: int, j_max: int):
-        self._entries: dict[tuple[int, int, int], LaurentPolynomial] = {
-            (0, 0, 0): LaurentPolynomial.one()
-        }
-        for l in range(l_max):
-            for i in range(l + 2):
-                for j in range(min(l + 2 - i, j_max + 1)):
-                    if (i + j) % 2 != (l + 1) % 2:
-                        continue
-                    poly = (
-                        self.q(i - 1, j, l)
-                        + self.q(i, j - 1, l)
-                        + self.q(i + 1, j, l).scale(i + 1)
-                    )
-                    if not poly.is_zero():
-                        self._entries[(i, j, l + 1)] = poly.shift(i - j)
-
-    def q(self, i: int, j: int, l: int) -> LaurentPolynomial:
-        if i < 0 or j < 0 or l < 0:
-            return LaurentPolynomial.zero()
-        return self._entries.get((i, j, l), LaurentPolynomial.zero())
-
-    def b(self, i: int, j: int, l: int) -> int:
-        """Integer coefficient of U^i D^j in (U + D)^l: the value at y = 1."""
-        return self.q(i, j, l).eval_at_one()
-
-    def c(self, i: int, j: int, l: int) -> int:
-        """Derivative at y = 1; the weighted companion of b."""
-        return self.q(i, j, l).derivative_at_one()
+    zero = LaurentPolynomial.zero()
+    level: QLevel = {(0, 0): LaurentPolynomial.one()}
+    yield level
+    for l in range(l_max):
+        prev, level = level, {}
+        for i in range(l + 2):
+            for j in range(min(l + 2 - i, j_max + 1)):
+                if (i + j) % 2 != (l + 1) % 2:
+                    continue
+                poly = (
+                    prev.get((i - 1, j), zero)
+                    + prev.get((i, j - 1), zero)
+                    + prev.get((i + 1, j), zero).scale(i + 1)
+                )
+                if not poly.is_zero():
+                    level[i, j] = poly.shift(i - j)
+        yield level
 
 
-def q_table(l_max: int) -> CoeffTable:
-    """Every column of the table up to l_max; readers of column 0 build CoeffTable(l_max, 0)."""
-    return CoeffTable(l_max, l_max)
+def q_table(l_max: int) -> Iterator[QLevel]:
+    """Every column of every level up to l_max; readers of column 0 take q_levels(l_max, 0)."""
+    return q_levels(l_max, l_max)
 
 
 def weight_generating_function(shape: Partition, length: int) -> LaurentPolynomial:
     """Sum of y**weight over the walks from () to shape: f^shape q[|shape|, 0](l), unbounded."""
-    return CoeffTable(length, 0).q(size(shape), 0, length).scale(num_syt(shape))
+    for level in q_levels(length, 0):
+        pass
+    return level.get((size(shape), 0), LaurentPolynomial.zero()).scale(num_syt(shape))
 
 
 def c_rows(l_max: int) -> list[dict[int, int]]:
@@ -156,8 +145,8 @@ def c_rows(l_max: int) -> list[dict[int, int]]:
                        + i b[i-1, 0](l) + i(i+1) b[i+1, 0](l)
 
     against the closed form for b.  Row l maps i to c[i, 0](l), zeros left
-    out.  Each entry must agree with CoeffTable.c(i, 0, l), the derivative
-    route.
+    out.  Each entry must agree with the derivative route: the derivative
+    at y = 1 of q[i, 0](l) from q_levels.
     """
     rows: list[dict[int, int]] = [{}]  # c[i, 0](0) = 0 for every i
     for l in range(l_max):
@@ -188,12 +177,13 @@ class KeyIdentityReport(NamedTuple):
         return self.ratio == self.closed_form
 
 
-def verify_key_identity(k: int, n: int, table: CoeffTable) -> KeyIdentityReport:
+def verify_key_identity(k: int, n: int, levels: Sequence[QLevel]) -> KeyIdentityReport:
     """Check c[k,0](k+2n) / b[k,0](k+2n) = (2n+k+1)(2n+3k) / 6 exactly.
 
-    The table must reach l = k + 2n.
+    `levels` are q_levels' levels, reaching l = k + 2n; c and b are the
+    derivative and the value at y = 1 of q[k, 0](k+2n), which is nonzero.
     """
-    l = k + 2 * n
-    ratio = Fraction(table.c(k, 0, l), table.b(k, 0, l))
+    q = levels[k + 2 * n][k, 0]
+    ratio = Fraction(q.derivative_at_one(), q.eval_at_one())
     closed = Fraction((2 * n + k + 1) * (2 * n + 3 * k), 6)
     return KeyIdentityReport(k, n, ratio, closed)

@@ -115,26 +115,26 @@ def suite_weight(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
 
 def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
     """Operator identities and both coefficient-family computation paths."""
-    rows = []
-    commutator_ok = all(
-        diffposet.commutator_check(p) for p in partitions_up_to(10)
-    )
-    rows.append(_row("DU - UD = I on |p| <= 10", commutator_ok, True))
+    rows = [_row("DU - UD = I on |p| <= 10", diffposet.ud_straighten_check(1, 10)[1], True)]
     for i, straight_ok in enumerate(diffposet.ud_straighten_check(6, 6)):
         rows.append(_row(f"D U^{i} = U^{i} D + {i} U^{i-1} on |p| <= 6", straight_ok, True))
-    # one column-0 table for every check below; key-identity cells longer than
-    # l_max are skipped, since checking (5, 5) and (6, 5) adds rows to the 405
-    # checks of `verify --suite all` that the benchmark's reference pins
+    # column 0 of every level for every check below; key-identity cells longer
+    # than l_max are skipped, since checking (5, 5) and (6, 5) adds rows to the
+    # 405 checks of `verify --suite all` that the benchmark's reference pins
     l_max = 14
-    table = diffposet.CoeffTable(l_max, 0)
+    levels = list(diffposet.q_levels(l_max, 0))
+
+    def q(i: int, l: int) -> LaurentPolynomial:
+        return levels[l].get((i, 0), LaurentPolynomial.zero())
+
     b_ok = all(
-        table.b(i, 0, l) == util.normal_order_coefficient(i, 0, l)
+        q(i, l).eval_at_one() == util.normal_order_coefficient(i, 0, l)
         for l in range(13)
         for i in range(l + 1)
     )
     rows.append(_row("b closed form vs table at y=1, l <= 12", b_ok, True))
     c_ok = all(
-        table.c(i, 0, l) == row.get(i, 0)
+        q(i, l).derivative_at_one() == row.get(i, 0)
         for l, row in enumerate(diffposet.c_rows(12))
         for i in range(l + 1)
     )
@@ -143,7 +143,7 @@ def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
         for n in range(nmax + 1):
             if k + 2 * n > l_max:
                 continue
-            report = diffposet.verify_key_identity(k, n, table)
+            report = diffposet.verify_key_identity(k, n, levels)
             rows.append(
                 CheckRow(
                     f"coefficient ratio k={k} n={n}",
@@ -162,7 +162,7 @@ def suite_diffposet(kmax: int = 6, nmax: int = 5) -> list[CheckRow]:
             rows.append(
                 _row(
                     f"q[{k},0]({l}) * f vs walk gf, shape={format_partition(shape)}",
-                    table.q(k, 0, l).scale(f_shape),
+                    q(k, l).scale(f_shape),
                     gf,
                 )
             )

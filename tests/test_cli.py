@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,13 @@ def test_gf_past_the_table_bound_equals_the_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS["gf_2_1_31_sha256"]
 
 
+@pytest.mark.parametrize("command", sorted(GOLDENS["long_length_sha256"]))
+def test_long_length_bytes_equal_the_golden(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS["long_length_sha256"][command]
+
+
 def test_avg_weight_formula_agreement(capsys):
     code, out, _ = run_cli(capsys, "avg-weight", "--shape", "-", "--n", "2")
     assert code == 0
@@ -331,7 +339,58 @@ def test_q_table_streams_in_bounded_writes(monkeypatch):
     assert main(["diffposet", "q-table", "--lmax", "30"]) == 0
     assert max(len(text.encode()) for text in out.writes) <= 64 * 1024
     entries = json.loads("".join(out.writes))["details"]["entries"]
-    assert len(entries) == len(diffposet.q_table(30)._entries) == 2856
+    assert len(entries) == sum(map(len, diffposet.q_table(30))) == 2856
+
+
+class NullWriter:
+    """Stands in for sys.stdout and drops every write."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def traced_peak_mib(run) -> float:
+    """Peak of the memory that Python allocates while `run()` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_q_table_holds_one_level_at_a_time(monkeypatch):
+    # the whole table up to l = 24 peaks near 7.7 MiB; a level at a time, near 3 MiB
+    monkeypatch.setattr(sys, "stdout", NullWriter())
+    assert traced_peak_mib(lambda: main(["diffposet", "q-table", "--lmax", "24"])) < 5
+
+
+def test_gf_keeps_only_the_last_level():
+    # every level of column 0 up to l = 61 peaks near 22 MiB; the last two, near 3 MiB
+    assert traced_peak_mib(lambda: diffposet.weight_generating_function((2, 1), 61)) < 10
+
+
+def test_q_table_writes_entries_before_the_last_level_is_built(monkeypatch):
+    events = []
+    real = diffposet.q_levels
+
+    def spy(l_max, j_max):
+        for l, level in enumerate(real(l_max, j_max)):
+            events.append(("level", l))
+            yield level
+
+    class EntryWriter(NullWriter):
+        def write(self, text):
+            events.append(("write", '"l": ' in text))  # True: the write carries entries
+            return len(text)
+
+    monkeypatch.setattr(diffposet, "q_levels", spy)
+    monkeypatch.setattr(sys, "stdout", EntryWriter())
+    assert main(["diffposet", "q-table", "--lmax", "12"]) == 0
+    assert events.index(("write", True)) < events.index(("level", 12))
 
 
 def test_enumerate_streams_in_bounded_writes(monkeypatch):
@@ -437,9 +496,9 @@ def test_diffposet_verify_eq1_covers_the_requested_grid(capsys):
 ])
 def test_a_command_builds_only_the_table_columns_it_reads(capsys, monkeypatch, argv, built):
     calls = []
-    real = diffposet.CoeffTable
+    real = diffposet.q_levels
     spy = lambda *bounds: calls.append(bounds) or real(*bounds)  # noqa: E731
-    monkeypatch.setattr(diffposet, "CoeffTable", spy)
+    monkeypatch.setattr(diffposet, "q_levels", spy)
     assert run_cli(capsys, *argv)[0] == 0
     assert calls == built
 

@@ -6,8 +6,9 @@ from osctab import diffposet
 from osctab.diffposet import (
     apply_D,
     apply_U,
+    _straightening,
     c_rows,
-    commutator_check,
+    q_levels,
     q_table,
     ud_straighten_check,
     verify_key_identity,
@@ -31,9 +32,13 @@ def test_apply_d_examples():
     assert apply_D((1,)) == {(): 1}
 
 
+def entry(levels, i, j, l) -> LaurentPolynomial:
+    """q[i, j](l) from a list of q_levels' levels, zero where the level holds no entry."""
+    return levels[l].get((i, j), LaurentPolynomial.zero())
+
+
 def test_commutator_everywhere():
-    for p in partitions_up_to(10):
-        assert commutator_check(p)
+    assert ud_straighten_check(1, 10)[1]
 
 
 def three_chain_straighten_check(i, bound):
@@ -77,7 +82,7 @@ def test_straighten_fails_where_the_oracle_does(monkeypatch):
     expected = [True] + [False] * 4
     assert ud_straighten_check(4, 4) == expected
     assert [three_chain_straighten_check(i, 4) for i in range(5)] == expected
-    assert not commutator_check((2, 1))
+    assert not _straightening((2, 1), 1, diffposet.covers_up, diffposet.covers_down)[1]
 
 
 @pytest.mark.parametrize("bound", [0, 3, 6])
@@ -113,26 +118,29 @@ def test_straighten_lists_each_partitions_covers_once(monkeypatch):
 
 
 def test_q_table_entries():
-    table = q_table(4)
-    assert table.q(1, 0, 1) == LaurentPolynomial({1: 1})
-    assert table.q(0, 1, 1) == LaurentPolynomial({-1: 1})
-    assert table.q(0, 0, 2) == LaurentPolynomial({1: 1})
-    assert table.q(0, 0, 4) == LaurentPolynomial({2: 1, 4: 2})
-    assert table.q(0, 0, 0) == LaurentPolynomial.one()
+    levels = list(q_table(4))
+    assert levels[1][1, 0] == LaurentPolynomial({1: 1})
+    assert levels[1][0, 1] == LaurentPolynomial({-1: 1})
+    assert levels[2][0, 0] == LaurentPolynomial({1: 1})
+    assert levels[4][0, 0] == LaurentPolynomial({2: 1, 4: 2})
+    assert levels[0][0, 0] == LaurentPolynomial.one()
 
 
 def test_q_table_support_condition():
-    table = q_table(8)
-    for (i, j, l), poly in table._entries.items():
-        assert i + j <= l
-        assert (i + j) % 2 == l % 2
-        assert not poly.is_zero()
+    levels = list(q_table(8))
+    assert len(levels) == 9
+    for l, level in enumerate(levels):
+        assert list(level) == sorted(level)  # i ascending, then j
+        for (i, j), poly in level.items():
+            assert i + j <= l
+            assert (i + j) % 2 == l % 2
+            assert not poly.is_zero()
 
 
 def test_q_table_has_no_length_bound():
-    full, column_0 = q_table(17), diffposet.CoeffTable(17, 0)
-    assert column_0._entries == {key: poly for key, poly in full._entries.items() if key[1] == 0}
-    assert column_0.q(17, 0, 17) == LaurentPolynomial({153: 1})  # one walk: weight 0 + 1 + ... + 17
+    full, column_0 = list(q_table(17)), list(q_levels(17, 0))
+    assert column_0 == [{key: poly for key, poly in level.items() if key[1] == 0} for level in full]
+    assert column_0[17][17, 0] == LaurentPolynomial({153: 1})  # one walk: weight 0 + 1 + ... + 17
 
 
 def walk_dp_gf(shape, length) -> LaurentPolynomial:
@@ -142,12 +150,12 @@ def walk_dp_gf(shape, length) -> LaurentPolynomial:
 
 def test_q_table_against_walk_generating_function():
     # the walk-level histogram is the independent check on the recurrence
-    table = q_table(9)
+    levels = list(q_table(9))
     for shape in partitions_up_to(3):
         k = size(shape)
         f = num_syt(shape)
         for length in range(10):
-            assert table.q(k, 0, length).scale(f) == walk_dp_gf(shape, length)
+            assert entry(levels, k, 0, length).scale(f) == walk_dp_gf(shape, length)
 
 
 def test_weight_generating_function_equals_the_walk_dp():
@@ -162,22 +170,22 @@ def test_weight_generating_function_equals_the_walk_dp():
 
 def test_weight_generating_function_reads_only_column_0(monkeypatch):
     built = []
-    real = diffposet.CoeffTable
+    real = diffposet.q_levels
     spy = lambda *bounds: built.append(bounds) or real(*bounds)  # noqa: E731
-    monkeypatch.setattr(diffposet, "CoeffTable", spy)
+    monkeypatch.setattr(diffposet, "q_levels", spy)
     diffposet.weight_generating_function((2, 1), 41)
     assert built == [(41, 0)]
 
 
 def test_a_partial_table_holds_its_columns_complete():
-    full = q_table(12)
+    full = list(q_levels(12, 12))
     for j_max in range(4):
-        partial = diffposet.CoeffTable(12, j_max)
+        partial = list(q_levels(12, j_max))
         for l in range(13):
             for i in range(l + 1):
                 for j in range(l + 1 - i):
-                    expected = full.q(i, j, l) if j <= j_max else LaurentPolynomial.zero()
-                    assert partial.q(i, j, l) == expected, (i, j, l, j_max)
+                    expected = entry(full, i, j, l) if j <= j_max else LaurentPolynomial.zero()
+                    assert entry(partial, i, j, l) == expected, (i, j, l, j_max)
 
 
 def test_b_value_examples():
@@ -190,21 +198,22 @@ def test_b_value_examples():
 
 
 def test_b_value_matches_table():
-    table = q_table(12)
+    levels = list(q_table(12))
     for l in range(13):
         for i in range(9):
-            assert normal_order_coefficient(i, 0, l) == table.b(i, 0, l)
+            assert normal_order_coefficient(i, 0, l) == entry(levels, i, 0, l).eval_at_one()
 
 
 def test_normal_order_coefficient_equals_the_table_everywhere():
     """The closed form b(i, j, l) against the recurrence's value at y = 1, j > 0 included."""
-    table = q_table(16)
+    levels = list(q_table(16))
     nonzero = 0
     for l in range(17):
         for i in range(-1, l + 2):
             for j in range(-1, l + 2):
-                assert normal_order_coefficient(i, j, l) == table.b(i, j, l), (i, j, l)
-                nonzero += table.b(i, j, l) != 0
+                b = entry(levels, i, j, l).eval_at_one()
+                assert normal_order_coefficient(i, j, l) == b, (i, j, l)
+                nonzero += b != 0
     assert nonzero == 525  # the entries with i + j <= l of l's parity
 
 
@@ -215,14 +224,14 @@ def test_c_value_examples():
 
 
 def test_c_value_both_paths_agree():
-    table = q_table(12)
+    levels = list(q_table(12))
     for l in range(13):
         for i in range(7):
-            assert table.c(i, 0, l) == c_rows(l)[l].get(i, 0)
+            assert entry(levels, i, 0, l).derivative_at_one() == c_rows(l)[l].get(i, 0)
 
 
 def test_c_times_f_is_total_weight():
-    table = q_table(9)
+    levels = list(q_table(9))
     for shape in partitions_up_to(3):
         k = size(shape)
         for n in range(3):
@@ -230,23 +239,24 @@ def test_c_times_f_is_total_weight():
             if length > 9:
                 continue
             gf = walk_dp_gf(shape, length)
-            assert table.c(k, 0, length) * num_syt(shape) == gf.derivative_at_one()
+            c = entry(levels, k, 0, length).derivative_at_one()
+            assert c * num_syt(shape) == gf.derivative_at_one()
 
 
 def test_key_identity_examples():
-    table = q_table(4)
-    r = verify_key_identity(0, 1, table)
+    levels = list(q_table(4))
+    r = verify_key_identity(0, 1, levels)
     assert r.passed and r.ratio == Fraction(1)
-    r = verify_key_identity(0, 2, table)
+    r = verify_key_identity(0, 2, levels)
     assert r.passed and r.ratio == Fraction(10, 3)
-    r = verify_key_identity(0, 0, table)
+    r = verify_key_identity(0, 0, levels)
     assert r.passed and r.ratio == 0
 
 
 def test_key_identity_range():
-    table = q_table(14)
+    levels = list(q_table(14))
     for k in range(7):
         for n in range(6):
             if k + 2 * n > 14:
                 continue
-            assert verify_key_identity(k, n, table).passed
+            assert verify_key_identity(k, n, levels).passed

@@ -81,6 +81,17 @@ def test_the_diffposet_suite_builds_the_c_rows_once(monkeypatch):
     assert calls == [(12,)]
 
 
+def test_the_diffposet_suite_checks_the_commutator_by_straightening(monkeypatch):
+    calls = spy_on(monkeypatch, diffposet, "ud_straighten_check")
+    row = "DU - UD = I on |p| <= 10"
+    assert {r.name: r.passed for r in verify.suite_diffposet()}[row]
+    assert calls == [(1, 10), (6, 6)]
+    # U doubled gives DU - UD = 2I
+    real = diffposet.covers_up
+    monkeypatch.setattr(diffposet, "covers_up", lambda p: real(p) * 2)
+    assert not {r.name: r.passed for r in verify.suite_diffposet()}[row]
+
+
 @pytest.mark.parametrize("suite", ["rs", "stats", "all"])
 def test_an_nmax_past_the_matching_bound_is_refused_before_any_scan(monkeypatch, suite):
     scans = spy_on(monkeypatch, matchings, "scan_matchings")
