@@ -6,15 +6,16 @@ as {"num": ..., "den": ...} string pairs so downstream consumers never
 round.  Output is byte-identical across runs by default; timing data is
 only included with --timing since it would break that.
 
-Each handler only computes: it returns a RunReport (or prints its CSV
-table and returns None).  `main` alone reads the clock, prints reports
-and errors, and maps outcomes to exit statuses: 0 for pass and for
-search outcomes certificate/infeasible, 1 for a failed verification, 2
-for usage or input errors, 3 for an exhausted search budget, and 141 (as
-for a process killed by SIGPIPE) when the reader closes stdout early.  A
-report's details may be Streamed text that is computed while `main`
-writes it, so neither the stats table, the enumerated walks nor the
-q-table's JSON text sit in memory whole.
+Each handler only computes: it returns a RunReport, or the text of its
+CSV table.  `main` alone reads the clock, writes reports and errors, and
+maps outcomes to exit statuses: 0 for pass and for search outcomes
+certificate/infeasible, 1 for a failed verification, 2 for usage or
+input errors, 3 for an exhausted search budget, and 141 (as for a
+process killed by SIGPIPE) when the reader closes stdout early.  A
+report prints as json.dumps(report, indent=2) does.  A list in its
+details may be Streamed, computed while `main` writes it, so neither the
+stats table, the enumerated walks nor the q-table sit in memory whole;
+`main` groups the text into writes of at least WRITE_SIZE characters.
 
 Each handler imports the engine modules it runs, and the options that
 read engine constants (`homomesy`, `verify`) are added only when their
@@ -28,11 +29,11 @@ import sys
 import time
 from functools import cache
 from itertools import chain
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import OsctabError
 from .partitions import format_partition, parse_partition, size
-from .util import joined, max_enumeration_size, normal_order_coefficient
+from .util import max_enumeration_size, normal_order_coefficient
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -40,12 +41,25 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141
 
+WRITE_SIZE = 16 * 1024  # `main` writes in runs of at least this many characters
+_HOLE = "\0"  # marks a value that RunReport.text fills in; no argv string holds a NUL
 
-class Streamed(NamedTuple):
-    """A details value written while it is computed: pieces of its JSON
-    text, indented as the value of "details" is."""
 
-    chunks: Iterable[str]
+class Streamed:
+    """A list in a report's details whose items are computed while `main` writes them:
+    texts of one or more items, joined by ",\n" and indented as a list in details
+    indents them (six spaces).  Not a tuple, which json.dumps encodes as a list."""
+
+    def __init__(self, items: Iterable[str]):
+        self.items = items
+
+    def pieces(self, pad: str) -> Iterator[str]:
+        """The list as json.dumps(..., indent=2) lays it out under a key indented by pad."""
+        sep = "[\n"
+        for item in self.items:
+            yield sep + item
+            sep = ",\n"
+        yield "[]" if sep == "[\n" else "\n" + pad + "]"
 
 
 class RunReport(NamedTuple):
@@ -54,27 +68,31 @@ class RunReport(NamedTuple):
     command: str
     parameters: dict[str, Any]
     outcome: str  # pass | fail | infeasible | budget-exhausted
-    details: Any  # JSON data, or Streamed text
+    details: Any  # JSON data, whose lists may be Streamed
 
-    def json_body(self) -> Iterator[str]:
-        """The report's indented JSON up to the end of "details"; json_end closes it."""
-        head = (
-            f'{{\n  "command": {json.dumps(self.command)},\n'
-            f'  "parameters": {_nested_json(self.parameters)},\n'
-            f'  "outcome": {json.dumps(self.outcome)},\n'
-            '  "details": '
-        )
-        if isinstance(self.details, Streamed):
-            yield head
-            yield from self.details.chunks
-        else:
-            yield head + _nested_json(self.details)
+    def text(self, elapsed: Callable[[], float] | None = None) -> Iterator[str]:
+        """The report as json.dumps(report, indent=2) prints it, and a newline, in pieces.
 
-    def json_end(self, elapsed: float | None) -> str:
-        """The rest of the object: elapsed_seconds, the last field, unless elapsed is None."""
+        A Streamed list's items are computed as its pieces are taken.  With
+        `elapsed`, the last key is "elapsed_seconds", read after every other piece.
+        """
+        report = self._asdict()
         if elapsed is not None:
-            return f',\n  "elapsed_seconds": {json.dumps(round(elapsed, 6))}\n}}'
-        return "\n}"
+            report["elapsed_seconds"] = elapsed
+        holes: list[Any] = []
+
+        def hole(value: Any) -> str:
+            holes.append(value)
+            return _HOLE
+
+        texts = (json.dumps(report, indent=2, default=hole) + "\n").split(json.dumps(_HOLE))
+        yield texts[0]
+        for before, value, after in zip(texts, holes, texts[1:]):
+            if isinstance(value, Streamed):  # the key's indent comes before its quote
+                yield from value.pieces(before[before.rfind("\n") + 1:].split('"', 1)[0])
+            else:
+                yield json.dumps(value())
+            yield after
 
     @property
     def exit_code(self) -> int:
@@ -86,9 +104,17 @@ class RunReport(NamedTuple):
         }[self.outcome]
 
 
-def _nested_json(value: Any) -> str:
-    """json.dumps(value, indent=2) as it reads one level deep in an indented object."""
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+def _runs(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces joined into runs of at least WRITE_SIZE characters, then the rest."""
+    run, length = [], 0
+    for piece in pieces:
+        run.append(piece)
+        length += len(piece)
+        if length >= WRITE_SIZE:
+            yield "".join(run)
+            run, length = [], 0
+    if length:
+        yield "".join(run)
 
 
 def _frac(value) -> dict[str, str]:
@@ -145,11 +171,6 @@ def cmd_enumerate(args) -> RunReport:
         "      [\n        " + ",\n        ".join(map(step_json, t)) + "\n      ]"
         for t in tableaux.enumerate_ot(start, shape, args.length)
     )
-    text = chain(
-        [f'{{\n    "count": "{count}",\n    "walks": [' + ("\n" if count else "")],
-        joined(walks, ",\n", _ROWS_PER_WRITE),
-        ["\n    ]\n  }" if count else "]\n  }"],
-    )
     return RunReport(
         "enumerate",
         {
@@ -158,7 +179,7 @@ def cmd_enumerate(args) -> RunReport:
             "length": args.length,
         },
         "pass",
-        Streamed(text),
+        {"count": str(count), "walks": Streamed(walks)},
     )
 
 
@@ -219,25 +240,21 @@ def cmd_q_table(args) -> RunReport:
                 entry = {"i": i, "j": j, "l": l, "poly": poly.to_json_dict()}
                 yield "      " + json.dumps(entry, indent=2).replace("\n", "\n      ")
 
-    # q[0, 0](0) = 1, so the list is never empty
-    text = chain(
-        ['{\n    "entries": [\n'],
-        joined(entries(), ",\n", _ENTRIES_PER_WRITE),
-        ["\n    ]\n  }"],
+    return RunReport(
+        "diffposet q-table", {"lmax": args.lmax}, "pass", {"entries": Streamed(entries())}
     )
-    return RunReport("diffposet q-table", {"lmax": args.lmax}, "pass", Streamed(text))
 
 
-def cmd_b_table(args) -> None:
+def cmd_b_table(args) -> Iterator[str]:
     from . import diffposet
 
+    yield "i,l,b,c\n"
     # column 0 of level l holds i = l, l - 2, ..., every entry nonzero
-    print("i,l,b,c")
     for l, level in enumerate(diffposet.q_levels(args.lmax, 0)):
-        print("\n".join(
-            f"{i},{l},{normal_order_coefficient(i, 0, l)},{q.derivative_at_one()}"
+        yield "".join(
+            f"{i},{l},{normal_order_coefficient(i, 0, l)},{q.derivative_at_one()}\n"
             for (i, _), q in level.items()
-        ))
+        )
 
 
 def cmd_verify_eq1(args) -> RunReport:
@@ -306,25 +323,14 @@ def cmd_rs_roundtrip(args) -> RunReport:
     return RunReport("rs roundtrip", {"n": args.n}, outcome, {"checks": payload})
 
 
-# Walks per write of `enumerate`: at length 14 a write stays under 52 KiB.
-_ROWS_PER_WRITE = 64
-# Entries per write of `diffposet q-table`: at --lmax 30 a write stays under 52 KiB.
-_ENTRIES_PER_WRITE = 8
-
-
-def cmd_stats(args) -> RunReport | None:
+def cmd_stats(args) -> RunReport | Iterable[str]:
     from . import matchings
 
     # both formats stream: n = 8 means two million rows
-    pieces = matchings.stats_table(args.n, args.format)
+    rows = matchings.stats_table(args.n, args.format)
     if args.format == "csv":
-        write = sys.stdout.write
-        write("matching,cr,ne,al,dyck,area,wt\n")
-        for piece in pieces:
-            write(piece)
-        return None
-    text = chain(['{\n    "rows": [\n'], pieces, ["\n    ]\n  }"])
-    return RunReport("stats", {"n": args.n}, "pass", Streamed(text))
+        return chain(["matching,cr,ne,al,dyck,area,wt\n"], rows)
+    return RunReport("stats", {"n": args.n}, "pass", {"rows": Streamed(rows)})
 
 
 def cmd_homomesy(args) -> RunReport:
@@ -533,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--matching", required=True, help='e.g. "1-4,2-3"')
     f.set_defaults(func=cmd_rs_forward)
     i = rsub.add_parser("inverse", help="walk to matching")
-    i.add_argument("--tableau", required=True, help='e.g. "-|1|2|1|-"')
+    i.add_argument("--tableau", required=True, help='e.g. --tableau="-|1|2|1|-"')
     i.set_defaults(func=cmd_rs_inverse)
     r = rsub.add_parser("roundtrip", help="bijection battery up to n")
     r.add_argument("--n", type=NON_NEGATIVE_INT, default=5)
@@ -572,12 +578,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        report = args.func(args)
-        if report is not None:  # None: a CSV table, already printed
-            for chunk in report.json_body():
-                sys.stdout.write(chunk)
-            elapsed = time.monotonic() - started if args.timing else None
-            sys.stdout.write(report.json_end(elapsed) + "\n")
+        output = args.func(args)
+        if isinstance(output, RunReport):
+            status = output.exit_code
+            elapsed = (lambda: round(time.monotonic() - started, 6)) if args.timing else None
+            output = output.text(elapsed)
+        else:  # the text of a CSV table
+            status = EXIT_PASS
+        for run in _runs(output):
+            sys.stdout.write(run)
         sys.stdout.flush()
     except (OsctabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -589,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    return EXIT_PASS if report is None else report.exit_code
+    return status
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from . import kernels
 from .errors import BoundExceededError, InvalidDyckWordError, ShapeMismatchError
 from .partitions import EMPTY, OscillatingTableau, Partition, box_step, conjugate
-from .util import joined
 
 PerfectMatching = tuple[tuple[int, int], ...]
 
@@ -213,18 +212,15 @@ def _json_row(text: str, cr: int, ne: int, al: int, word: str, area: int, wt: in
 # a format's row, with "\0" where the prefix text goes, and the text between rows
 STATS_FORMATS = {"csv": (_csv_row, ""), "json": (_json_row, ",\n")}
 
-# scan batches per piece of stats_table: 75 rows, under 16 KiB of JSON at n = 8
-BATCHES_PER_PIECE = 5
-
 
 def stats_table(n: int, fmt: str) -> Iterator[str]:
     r"""The rows of the `stats` table in fmt ("csv" or "json"), in scan_matchings order.
 
     A row holds (text, cr, ne, al, word) of scan_matchings, then the
     word's area and the weight_of_alignments.  CSV rows end in "\n"; JSON
-    rows are objects indented as `stats` reports them, with ",\n" between
-    rows (also at the start of every piece but the first).  Each piece
-    is BATCHES_PER_PIECE batches, so a writer makes few writes.
+    rows are objects indented as `stats` reports them.  Each string
+    yielded holds the rows of one prefix of scan_matchings, with ",\n"
+    between JSON rows, as there is between the strings in the report.
 
     A batch's rows after its prefix text depend only on the prefix's
     State, so each State's rows are formatted once, into one string with
@@ -262,8 +258,8 @@ def _stats_pieces(n: int, row: Callable[..., str], sep: str) -> Iterator[str]:
             text = blocks[key] = sep.join(rows)
         return text
 
-    batches = (block(state).replace("\0", text) for text, state in _prefixes(size))
-    yield from joined(batches, sep, BATCHES_PER_PIECE)
+    for text, state in _prefixes(size):
+        yield block(state).replace("\0", text)
 
 
 def partner_array(matching: PerfectMatching) -> list[int]:

@@ -1,9 +1,7 @@
-"""Small arithmetic helpers used by several modules, and the write batcher."""
+"""Small arithmetic helpers used by several modules, and the enumeration cap."""
 
 import os
-from itertools import islice
 from math import factorial
-from typing import Iterator
 
 DEFAULT_MAX_ENUM = 10**7  # enumeration cap when OSCTAB_MAX_ENUM is unset
 
@@ -50,10 +48,3 @@ def max_enumeration_size() -> int:
         raise ValueError("OSCTAB_MAX_ENUM must be positive")
     return value
 
-
-def joined(pieces: Iterator[str], sep: str, per_write: int) -> Iterator[str]:
-    """sep.join(pieces), per_write pieces at a time, so a writer makes few writes."""
-    lead = ""
-    while batch := list(islice(pieces, per_write)):
-        yield lead + sep.join(batch)
-        lead = sep

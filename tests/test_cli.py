@@ -327,19 +327,21 @@ def test_stats_streams_in_bounded_writes(monkeypatch, fmt):
     text = "".join(out.writes)
     rows = text.splitlines()[1:] if fmt == "csv" else json.loads(text)["details"]["rows"]
     assert len(rows) == 10395
-    # scan batches of 15 rows are grouped into writes of at least 64 rows, besides the fixed
-    # pieces: the CSV header; the JSON report head, rows opener, rows closer and report end
+    # scan batches of 15 rows are grouped into writes of at least 16 KiB, over 64 rows in
+    # either format; `fixed` allows for the CSV header or the report text around the rows
     fixed = 1 if fmt == "csv" else 4
     assert len(out.writes) <= -(-len(rows) // 64) + fixed
 
 
 def test_q_table_streams_in_bounded_writes(monkeypatch):
-    out = WriteRecorder()
-    monkeypatch.setattr(sys, "stdout", out)
-    assert main(["diffposet", "q-table", "--lmax", "30"]) == 0
-    assert max(len(text.encode()) for text in out.writes) <= 64 * 1024
-    entries = json.loads("".join(out.writes))["details"]["entries"]
-    assert len(entries) == sum(map(len, diffposet.q_table(30))) == 2856
+    # an entry's text grows with l, to about 8 KiB at l = 34
+    for lmax, count in ((30, 2856), (34, 4047)):
+        out = WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["diffposet", "q-table", "--lmax", str(lmax)]) == 0
+        assert max(len(text.encode()) for text in out.writes) <= 64 * 1024
+        entries = json.loads("".join(out.writes))["details"]["entries"]
+        assert len(entries) == sum(map(len, diffposet.q_table(lmax))) == count
 
 
 class NullWriter:
@@ -403,12 +405,47 @@ def test_enumerate_streams_in_bounded_writes(monkeypatch):
     assert len(details["walks"]) == 10395
 
 
+class CallerRecorder(NullWriter):
+    """Stands in for sys.stdout and notes the function that makes each write."""
+
+    def __init__(self):
+        self.callers = set()
+
+    def write(self, text):
+        frame = sys._getframe(1)
+        self.callers.add(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stats", "--n", "4", "--format", "csv"),
+        ("stats", "--n", "4", "--format", "json"),
+        ("diffposet", "b-table", "--lmax", "6"),
+        ("enumerate", "--shape", "2,1", "--length", "5"),
+        ("diffposet", "q-table", "--lmax", "6"),
+        ("verify", "--suite", "skew"),
+    ],
+    ids=" ".join,
+)
+def test_only_main_writes_to_stdout(monkeypatch, argv):
+    out = CallerRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(list(argv)) == 0
+    assert out.callers == {"osctab.cli.main"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("count", "--shape", "2,1", "--n", "1"),
         ("rs", "forward", "--matching", "1-4,2-3"),
         ("skew-scan", "--max-mu", "1", "--max-shape", "1", "--max-length", "2", "--records"),
+        ("enumerate", "--shape", "1", "--length", "3"),
+        ("enumerate", "--shape", "2", "--length", "1"),  # no walks: "walks": []
+        ("diffposet", "q-table", "--lmax", "3"),
+        ("stats", "--n", "3", "--format", "json"),
     ],
 )
 def test_reports_print_as_json_dumps(capsys, argv):
@@ -416,6 +453,7 @@ def test_reports_print_as_json_dumps(capsys, argv):
         code, out, _ = run_cli(capsys, *timing, *argv)
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert list(json.loads(out))[-1] == ("elapsed_seconds" if timing else "details")
 
 
 def test_diffposet_q_table(capsys):
@@ -512,6 +550,18 @@ def test_rs_forward_inverse(capsys):
     code, out, _ = run_cli(capsys, "rs", "inverse", "--tableau=-|1|2|1|-")
     assert code == 0
     assert json.loads(out)["details"]["matching"] == "1-4,2-3"
+
+
+@pytest.mark.parametrize("command, option", [("rs forward", "--matching"), ("rs inverse", "--tableau")])
+def test_help_examples_run_as_printed(capsys, monkeypatch, command, option):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main([*command.split(), "--help"])
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.lstrip().startswith(option))
+    example = line.split("e.g. ", 1)[1]
+    # an example that does not name its option is the value typed after it
+    argv = shlex.split(example if example.startswith(option) else f"{option} {example}")
+    assert run_cli(capsys, *command.split(), *argv)[0] == 0
 
 
 def test_rs_forward_takes_the_empty_matching_that_inverse_prints(capsys):
