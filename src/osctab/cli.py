@@ -141,7 +141,7 @@ def cmd_count(args) -> RunReport:
     from . import tableaux
 
     shape = parse_partition(args.shape)
-    formula = tableaux.count_formula(shape, args.n)
+    formula = tableaux.walk_count((), shape, size(shape) + 2 * args.n)
     details: dict[str, Any] = {"formula": str(formula)}
     outcome = "pass"
     if formula <= max_enumeration_size() and not args.skip_enumeration:

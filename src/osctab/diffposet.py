@@ -55,16 +55,6 @@ def _apply(covers, value: Union[Partition, Mapping[Partition, int]]) -> FormalSu
     return result
 
 
-def apply_U(value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
-    """Linear extension of: partition -> sum of its one-box growths."""
-    return _apply(covers_up, value)
-
-
-def apply_D(value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
-    """Linear extension of: partition -> sum of its one-box removals."""
-    return _apply(covers_down, value)
-
-
 def _straightening(partition: Partition, i_max: int, up, down) -> list[bool]:
     """Entry i: whether D U^i p = U^i D p + i U^(i-1) p, for i = 0..i_max.
 

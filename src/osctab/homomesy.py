@@ -31,10 +31,10 @@ from .matchings import (
 from .partitions import Partition, conjugate, format_partition, size
 from .tableaux import (
     average_weight_formula,
-    count_formula,
     enumerate_ot,
     format_tableau,
     refuse_over_cap,
+    walk_count,
     weight,
 )
 
@@ -149,7 +149,7 @@ def orbit_sum_target_matchings(n: int) -> int:
 
 def divisibility_check(shape: Partition, n: int) -> bool:
     """True when 3 divides the closed-form walk count for this shape and n."""
-    return count_formula(shape, n) % 3 == 0
+    return walk_count((), shape, size(shape) + 2 * n) % 3 == 0
 
 
 def tableau_items(shape: Partition, n: int) -> list[WeightedItem]:

@@ -509,32 +509,3 @@ def conjugate_matching(matching: PerfectMatching) -> PerfectMatching:
     on the columns gives the image without building either walk.
     """
     return _unwalk([(col, sign) for _, col, sign in _insertion_cells(matching)])
-
-
-def permutation_bridge(matching: PerfectMatching) -> tuple[int, ...]:
-    """The permutation sending j to i for pairs {i, j+n}.
-
-    Defined only on matchings whose word is 1^n 0^n (all openers before
-    all closers); anything else raises ShapeMismatchError.
-    """
-    n = len(matching)
-    if dyck_of_matching(matching) != "1" * n + "0" * n:
-        raise ShapeMismatchError("matching word is not 1^n 0^n")
-    partner = {b: a for a, b in matching}
-    return tuple(partner[j + n] for j in range(1, n + 1))
-
-
-def matching_of_permutation(perm: Sequence[int]) -> PerfectMatching:
-    """Inverse of permutation_bridge."""
-    n = len(perm)
-    return as_matching([(perm[j], j + 1 + n) for j in range(n)])
-
-
-def sigma_on_permutation_matchings(matching: PerfectMatching) -> PerfectMatching:
-    """Reverse the bridged permutation: position j maps to the value at n+1-j.
-
-    On the 1^n 0^n matchings this swaps the crossing and nesting counts.
-    """
-    perm = permutation_bridge(matching)
-    n = len(perm)
-    return matching_of_permutation(tuple(perm[n - 1 - j] for j in range(n)))

@@ -9,14 +9,12 @@ in the linear-operator code.
 from math import factorial
 from typing import Iterator, Sequence
 
-from .errors import BoundExceededError, PartitionParseError
+from .errors import PartitionParseError
 
 Partition = tuple[int, ...]
 OscillatingTableau = tuple[Partition, ...]  # a walk: consecutive entries one box apart
 
 EMPTY: Partition = ()
-
-MAX_SYT_SIZE = 12  # largest diagram enumerate_syt fills
 
 
 def as_partition(parts: Sequence[int]) -> Partition:
@@ -183,36 +181,6 @@ def skew_syt_counts(outer: Partition) -> dict[Partition, int]:
         counts.update(below)
         level = below
     return counts
-
-
-def enumerate_syt(partition: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every standard filling of the diagram as a tuple of rows.
-
-    Entries 1..n are placed one at a time; entry v may extend row i when
-    the row above is already longer at that column.  Independent of the
-    hook-length count, which it serves as a brute-force check for.
-    """
-    n = size(partition)
-    if n > MAX_SYT_SIZE:
-        raise BoundExceededError(f"|partition| = {n} exceeds the configured bound {MAX_SYT_SIZE}")
-    rows = len(partition)
-    filling: list[list[int]] = [[] for _ in range(rows)]
-
-    def place(value: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if value > n:
-            yield tuple(tuple(row) for row in filling)
-            return
-        for i in range(rows):
-            col = len(filling[i])
-            if col >= partition[i]:
-                continue
-            if i > 0 and len(filling[i - 1]) <= col:
-                continue
-            filling[i].append(value)
-            yield from place(value + 1)
-            filling[i].pop()
-
-    yield from place(1)
 
 
 def partitions_of_size(n: int) -> Iterator[Partition]:

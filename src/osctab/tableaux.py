@@ -11,10 +11,8 @@ in diffposet.  The walk DP in kernels and the enumeration are oracles.
 """
 
 from fractions import Fraction
-from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from . import kernels
 from .errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchError
 from .partitions import (
     OscillatingTableau,
@@ -30,7 +28,7 @@ from .partitions import (
     size,
     skew_syt_counts,
 )
-from .util import double_factorial, max_enumeration_size, normal_order_coefficient
+from .util import max_enumeration_size, normal_order_coefficient
 
 
 def is_oscillating_tableau(steps: Sequence[Partition]) -> bool:
@@ -151,18 +149,14 @@ def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]
 
     Counts the walks enumerate_ot yields without producing any: the
     kernel advances a per-partition weight histogram one step at a time.
+    No command calls it (perfbench/tracing.py wraps this binding), so
+    kernels is imported here: the commands that load tableaux for its
+    closed forms and enumeration (count, enumerate, avg-weight,
+    skew-scan) then never load the walk DP.
     """
+    from . import kernels
+
     return kernels.ot_weight_profile(tuple(start), tuple(shape), length)
-
-
-def count_formula(shape: Partition, n: int) -> int:
-    """Closed-form count of length-(|shape|+2n) walks from the empty partition.
-
-    C(2n+k, k) * (2n-1)!! * f(shape), with k = |shape| and f the number
-    of standard fillings; (2n-1)!! is 1 at n = 0.
-    """
-    k = size(shape)
-    return comb(2 * n + k, k) * double_factorial(2 * n - 1) * num_syt(shape)
 
 
 def average_weight_formula(k: int, n: int) -> Fraction:
@@ -216,7 +210,11 @@ def overlaps(
 
 
 def walk_count(start: Partition, shape: Partition, length: int) -> int:
-    """The number of walks from start to shape: sum_j b(j + d, j, l) g_j, d = |shape| - |start|."""
+    """The number of walks from start to shape: sum_j b(j + d, j, l) g_j, d = |shape| - |start|.
+
+    From the empty start this is the paper's closed form: with l = d + 2n,
+    b(d, 0, l) f^shape = C(d + 2n, d) (2n - 1)!! f^shape.
+    """
     d = size(shape) - size(start)
     if not start:  # g has the one term g_0 = f^shape
         return normal_order_coefficient(d, 0, length) * num_syt(shape)

@@ -6,21 +6,6 @@ from math import factorial
 DEFAULT_MAX_ENUM = 10**7  # enumeration cap when OSCTAB_MAX_ENUM is unset
 
 
-def double_factorial(m: int) -> int:
-    """Product m * (m-2) * (m-4) * ... ending at 1 or 2; equals 1 for m in {-1, 0}.
-
-    The value for m = -1 is 1 by convention, which is the convention the
-    closed-form walk counts rely on.
-    """
-    if m < -1:
-        raise ValueError(f"double factorial undefined for {m}")
-    result = 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result
-
-
 def normal_order_coefficient(i: int, j: int, l: int) -> int:
     """b(i, j, l), the coefficient of U^i D^j in (U + D)^l normal-ordered by DU = UD + 1.
 

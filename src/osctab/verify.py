@@ -61,7 +61,7 @@ def _walk_cells(kmax: int, nmax: int) -> list[tuple[Partition, int, int, int, in
 
 
 def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
-    """Enumerated walk counts against C(2n+k, k) (2n-1)!! f(shape).
+    """Enumerated walk counts against C(2n+k, k) (2n-1)!! f(shape), tableaux.walk_count's.
 
     The counts come from tableaux.walk_totals, the brute-force walk
     enumeration, through the per-run cache _walk_totals.
@@ -72,7 +72,7 @@ def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
             _row(
                 f"count shape={format_partition(shape)} n={n}",
                 enumerated,
-                tableaux.count_formula(shape, n),
+                tableaux.walk_count(EMPTY, shape, k + 2 * n),
             )
         )
     return rows

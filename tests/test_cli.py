@@ -878,7 +878,10 @@ def loaded_modules(argv):
     [
         ((), (), ENGINES),
         (("skew-scan", "--max-mu", "1", "--max-shape", "2", "--max-length", "3"),
-         ("tableaux",), ("verify", "diffposet", "homomesy", "matchings", "laurent")),
+         ("tableaux",), ("verify", "diffposet", "homomesy", "matchings", "laurent", "kernels")),
+        (("count", "--shape", "2,1", "--n", "1"), ("tableaux",), ("kernels",)),
+        (("enumerate", "--shape", "1", "--length", "3"), ("tableaux",), ("kernels",)),
+        (("avg-weight", "--shape", "1", "--n", "1"), ("tableaux",), ("kernels",)),
         (("gf", "--shape", "2,1", "--length", "5"),
          ("diffposet",), ("tableaux", "kernels", "matchings", "homomesy", "verify")),
         (("stats", "--n", "2"), ("matchings",), ("verify", "diffposet", "tableaux", "laurent")),

@@ -4,8 +4,7 @@ import pytest
 
 from osctab import diffposet
 from osctab.diffposet import (
-    apply_D,
-    apply_U,
+    _apply,
     _straightening,
     c_rows,
     q_levels,
@@ -18,6 +17,17 @@ from osctab.laurent import LaurentPolynomial
 from osctab.partitions import EMPTY, covers_down, covers_up, num_syt, partitions_up_to, size
 from osctab.tableaux import weight_profile
 from osctab.util import normal_order_coefficient
+
+
+# U and D read diffposet's cover bindings, so a test that patches one patches the oracle too
+def apply_U(value):
+    """Linear extension of: partition -> sum of its one-box growths."""
+    return _apply(diffposet.covers_up, value)
+
+
+def apply_D(value):
+    """Linear extension of: partition -> sum of its one-box removals."""
+    return _apply(diffposet.covers_down, value)
 
 
 def test_apply_u_examples():

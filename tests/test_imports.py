@@ -1,4 +1,10 @@
-"""src/osctab declares no dependencies: every import is the standard library or osctab itself."""
+"""src/osctab holds only code it runs, and declares no dependencies.
+
+Every import is the standard library or osctab itself, every top-level
+import is used, and every module-level function and class is named by
+other src code.  The exceptions are the bindings perfbench/tracing.py's
+BOUNDARIES wraps, which the benchmark needs to find by name.
+"""
 
 import ast
 import sys
@@ -7,6 +13,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "osctab"
+TRACING_PY = PACKAGE.parents[1] / "perfbench" / "tracing.py"
 
 
 def imported_modules(path):
@@ -26,3 +33,84 @@ def test_imports_are_stdlib_or_osctab(path):
         if name != "osctab" and name not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def modules():
+    """{module name: parsed source} for each module of src/osctab."""
+    return {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def pinned_bindings():
+    """(module, attribute) of each binding that BOUNDARIES in perfbench/tracing.py wraps."""
+    tree = ast.parse(TRACING_PY.read_text(), filename=str(TRACING_PY))
+    boundaries = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "BOUNDARIES"
+    )
+    return {
+        (row.elts[0].value.removeprefix("osctab.").partition(":")[0], row.elts[1].value)
+        for row in boundaries.elts
+    }
+
+
+def names_read(node):
+    """The identifiers a node's code reads: bare names and attribute names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def unnamed_definitions(trees, pinned):
+    """module.name of each module-level def or class that no live src code names.
+
+    Live code is the module-level code outside definitions, the pinned
+    bindings, and, to a fixed point, the definitions live code names.
+    """
+    definitions: dict[str, list[tuple[str, ast.AST]]] = {}
+    live = {attr for _, attr in pinned}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append((module, node))
+            else:
+                live.update(names_read(node))
+    read: set[str] = set()
+    while ready := (live & definitions.keys()) - read:
+        for name in ready:
+            for _, node in definitions[name]:
+                live.update(names_read(node))
+        read |= ready
+    return sorted(
+        f"{module}.{name}"
+        for name in definitions.keys() - live
+        for module, _ in definitions[name]
+    )
+
+
+def unused_imports(trees, pinned):
+    """module: name of each name a module imports at top level and never reads."""
+    unused = []
+    for module, tree in trees.items():
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read and (module, bound) not in pinned:
+                        unused.append(f"{module}: {bound}")
+    return unused
+
+
+def test_every_definition_is_named_by_src():
+    """Code that only tests call lives in the tests."""
+    assert unnamed_definitions(modules(), pinned_bindings()) == []
+
+
+def test_every_top_level_import_is_used():
+    assert unused_imports(modules(), pinned_bindings()) == []

@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import chain
-from math import comb
+from math import comb, prod
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from osctab.errors import (
 )
 from osctab.homomesy import matching_items
 from osctab.matchings import (
+    PerfectMatching,
     area,
     as_matching,
     conjugate_matching,
@@ -23,19 +25,45 @@ from osctab.matchings import (
     enumerate_matchings,
     format_matching,
     joint_distribution,
-    matching_of_permutation,
     matching_to_tableau,
     parse_matching,
     partner_array,
-    permutation_bridge,
     prefix_stats,
     scan_matchings,
-    sigma_on_permutation_matchings,
     stats,
     tableau_to_matching,
     weight_via_matching,
 )
 from osctab.tableaux import enumerate_ot, weight
+
+
+def permutation_bridge(matching: PerfectMatching) -> tuple[int, ...]:
+    """The permutation sending j to i for pairs {i, j+n}.
+
+    Defined only on matchings whose word is 1^n 0^n (all openers before
+    all closers); anything else raises ShapeMismatchError.
+    """
+    n = len(matching)
+    if dyck_of_matching(matching) != "1" * n + "0" * n:
+        raise ShapeMismatchError("matching word is not 1^n 0^n")
+    partner = {b: a for a, b in matching}
+    return tuple(partner[j + n] for j in range(1, n + 1))
+
+
+def matching_of_permutation(perm: Sequence[int]) -> PerfectMatching:
+    """Inverse of permutation_bridge."""
+    n = len(perm)
+    return as_matching([(perm[j], j + 1 + n) for j in range(n)])
+
+
+def sigma_on_permutation_matchings(matching: PerfectMatching) -> PerfectMatching:
+    """Reverse the bridged permutation: position j maps to the value at n+1-j.
+
+    On the 1^n 0^n matchings this swaps the crossing and nesting counts.
+    """
+    perm = permutation_bridge(matching)
+    n = len(perm)
+    return matching_of_permutation(tuple(perm[n - 1 - j] for j in range(n)))
 
 
 def brute_stats(matching):
@@ -415,12 +443,10 @@ def test_joint_distribution_cr_ne_symmetry():
 def test_each_statistic_has_equal_total():
     # summed over all matchings, crossings, nestings and alignments each
     # account for a third of all C(n,2) * (2n-1)!! pair relations
-    from osctab.util import double_factorial
-
     for n in range(2, 7):
         totals = [0, 0, 0]
         for triple, cnt in joint_distribution(n).items():
             for slot in range(3):
                 totals[slot] += triple[slot] * cnt
-        expected = comb(n, 2) * double_factorial(2 * n - 1) // 3
+        expected = comb(n, 2) * prod(range(1, 2 * n, 2)) // 3
         assert totals == [expected] * 3

@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import product
 from math import factorial
+from typing import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,12 +9,12 @@ from hypothesis import given, strategies as st
 from osctab.errors import BoundExceededError, PartitionParseError
 from osctab.kernels import ot_weight_profile
 from osctab.partitions import (
+    Partition,
     as_partition,
     box_step,
     conjugate,
     covers_down,
     covers_up,
-    enumerate_syt,
     format_partition,
     num_syt,
     parse_partition,
@@ -22,6 +23,38 @@ from osctab.partitions import (
     size,
     skew_syt_counts,
 )
+
+MAX_SYT_SIZE = 12  # largest diagram enumerate_syt fills
+
+
+def enumerate_syt(partition: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield every standard filling of the diagram as a tuple of rows.
+
+    Entries 1..n are placed one at a time; entry v may extend row i when
+    the row above is already longer at that column.  Independent of the
+    hook-length count, which it serves as a brute-force check for.
+    """
+    n = size(partition)
+    if n > MAX_SYT_SIZE:
+        raise BoundExceededError(f"|partition| = {n} exceeds the configured bound {MAX_SYT_SIZE}")
+    rows = len(partition)
+    filling: list[list[int]] = [[] for _ in range(rows)]
+
+    def place(value: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if value > n:
+            yield tuple(tuple(row) for row in filling)
+            return
+        for i in range(rows):
+            col = len(filling[i])
+            if col >= partition[i]:
+                continue
+            if i > 0 and len(filling[i - 1]) <= col:
+                continue
+            filling[i].append(value)
+            yield from place(value + 1)
+            filling[i].pop()
+
+    yield from place(1)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cache
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from osctab.partitions import (
     cover_distance,
     covers_down,
     covers_up,
+    num_syt,
     parse_partition,
     partitions_up_to,
     size,
@@ -26,7 +28,6 @@ from osctab.tableaux import (
     average_size_formula,
     average_weight_enumerated,
     average_weight_formula,
-    count_formula,
     enumerate_ot,
     format_tableau,
     is_oscillating_tableau,
@@ -40,6 +41,12 @@ from osctab.tableaux import (
 )
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "goldens.json").read_text())
+
+
+def count_formula(shape, n):
+    """The paper's count of length-(|shape|+2n) walks from (): C(2n+k, k) (2n-1)!! f^shape."""
+    k = size(shape)
+    return comb(2 * n + k, k) * prod(range(1, 2 * n, 2)) * num_syt(shape)
 
 
 def test_enumerate_examples():
@@ -120,8 +127,6 @@ def test_count_matches_enumeration():
 def test_syt_special_case():
     # length exactly |shape| forces an all-additions walk
     for shape in partitions_up_to(6):
-        from osctab.partitions import num_syt
-
         assert sum(1 for _ in enumerate_ot((), shape, size(shape))) == num_syt(shape)
 
 

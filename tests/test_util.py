@@ -1,21 +1,6 @@
 import pytest
 
-from osctab.util import double_factorial, max_enumeration_size
-
-
-def test_double_factorial_values():
-    assert double_factorial(-1) == 1
-    assert double_factorial(0) == 1
-    assert double_factorial(1) == 1
-    assert double_factorial(3) == 3
-    assert double_factorial(5) == 15
-    assert double_factorial(9) == 945
-    assert double_factorial(6) == 48
-
-
-def test_double_factorial_rejects_below_minus_one():
-    with pytest.raises(ValueError):
-        double_factorial(-2)
+from osctab.util import max_enumeration_size
 
 
 def test_max_enumeration_size_default(monkeypatch):
