@@ -10,9 +10,8 @@ the matchings to the walks while preserving that projection.
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from . import kernels
 from .errors import BoundExceededError, InvalidDyckWordError, ShapeMismatchError
 from .partitions import EMPTY, OscillatingTableau, Partition, box_step, conjugate
 
@@ -105,9 +104,9 @@ def scan_matchings(n: int) -> Iterator[list[ScanRow]]:
     built once per call and added to every prefix that leaves that set.
     At n = 7, 9,009 prefixes share 210 six-element sets (364 sets with
     the smaller ones the tables are built from); at n = 8, 135,135
-    prefixes share 462 (708).  On one Xeon core with Python 3.11 this
-    yields the 135,135 rows of n = 7 in about 0.1 s and the 2,027,025 of
-    n = 8 in about 1.3 s.  The bound on n is checked when this is called,
+    prefixes share 462 (708).  On a shared Xeon with Python 3.11 this
+    yields the 135,135 rows of n = 7 in about 0.05 s and the 2,027,025 of
+    n = 8 in about 0.85 s.  The bound on n is checked when this is called,
     before the first batch is asked for.
     """
     check_bound(n)
@@ -121,25 +120,29 @@ def scan_matchings(n: int) -> Iterator[list[ScanRow]]:
 
 
 def _prefixes(size: int) -> Iterator[tuple[str, State]]:
-    """Each prefix of scan_matchings, in order: its text and its State."""
-    return _prefixes_below(list(range(1, size + 1)), size, "", "", 0, 0, 0)
+    """Each prefix of scan_matchings, in order: its text and its State.
 
-
-def _prefixes_below(
-    free: list[int], size: int, text: str, word: str, cr: int, ne: int, al: int
-) -> Iterator[tuple[str, State]]:
-    """The prefixes below one that leaves `free`.
-
-    text ends in ";" after each pair; word keeps its letters up to the
-    last opener, since the elements between two openers are closers, and
-    a prefix's word runs up to its first free element.
+    One loop over a stack of _pairs iterators, one per pair chosen, all
+    pairing from one `free` list.  text ends in ";" after each pair; word
+    runs up to the prefix's first free element: the used elements between
+    its last opener and that one are closers.
     """
-    if len(free) > 2 * TAIL_PAIRS:
-        for a, b, dcr, dne, dal in _pairs(free, size):
-            yield from _prefixes_below(free, size, f"{text}{a}-{b};",
-                                       word.ljust(a - 1, "0") + "1", cr + dcr, ne + dne, al + dal)
+    free = list(range(1, size + 1))
+    if size <= 2 * TAIL_PAIRS:
+        yield "", (tuple(free), "", 0, 0, 0)
         return
-    yield text, (tuple(free), word.ljust(free[0] - 1 if free else size, "0"), cr, ne, al)
+    stack = [(_pairs(free, size), "", "", 0, 0, 0)]
+    while stack:
+        pairs, text, word, cr, ne, al = stack[-1]
+        for a, b, dcr, dne, dal in pairs:
+            below = f"{text}{a}-{b};"
+            opened = word.ljust(a - 1, "0") + "1"
+            if len(free) > 2 * TAIL_PAIRS:
+                stack.append((_pairs(free, size), below, opened, cr + dcr, ne + dne, al + dal))
+                break
+            yield below, (tuple(free), opened.ljust(free[0] - 1, "0"), cr + dcr, ne + dne, al + dal)
+        else:
+            stack.pop()
 
 
 def _pairs(free: list[int], size: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -196,21 +199,15 @@ def _completions(free: tuple[int, ...], size: int, tails: Tails) -> list[ScanRow
     return out
 
 
-def _csv_row(text: str, cr: int, ne: int, al: int, word: str, area: int, wt: int) -> str:
-    return f"\0{text},{cr},{ne},{al},{word},{area},{wt}\n"
-
-
-def _json_row(text: str, cr: int, ne: int, al: int, word: str, area: int, wt: int) -> str:
+# per format, the text before a stats row and between rows, then the formats
+# of a row's "cr,ne" and of the rest, from al on, around the matching text
+STATS_FORMATS = {
+    "csv": ("", "", ",{},{},", "{},{},{},{}\n"),
     # matching and word texts hold only digits, '-' and ';', which JSON leaves unescaped
-    return (
-        f'      {{\n        "matching": "\0{text}",\n        "cr": {cr},\n        "ne": {ne},\n'
-        f'        "al": {al},\n        "dyck": "{word}",\n        "area": {area},\n'
-        f'        "wt": {wt}\n      }}'
-    )
-
-
-# a format's row, with "\0" where the prefix text goes, and the text between rows
-STATS_FORMATS = {"csv": (_csv_row, ""), "json": (_json_row, ",\n")}
+    "json": ('      {\n        "matching": "', ",\n",
+             '",\n        "cr": {},\n        "ne": {},\n        "al": ',
+             '{},\n        "dyck": "{}",\n        "area": {},\n        "wt": {}\n      }}'),
+}
 
 
 def stats_table(n: int, fmt: str) -> Iterator[str]:
@@ -222,44 +219,45 @@ def stats_table(n: int, fmt: str) -> Iterator[str]:
     yielded holds the rows of one prefix of scan_matchings, with ",\n"
     between JSON rows, as there is between the strings in the report.
 
-    A batch's rows after its prefix text depend only on the prefix's
-    State, so each State's rows are formatted once, into one string with
-    "\0" where the prefix text goes, and every batch is that string with
-    its prefix put in.  At n = 6 the 693 prefixes reach 497 States, at
-    n = 7 the 9,009 reach 3,290 and at n = 8 the 135,135 reach 19,187, so
-    the strings held grow with the States.  The area is computed once
-    per distinct word.  The bound on n is checked when this is called.
+    The rows after a prefix's text come from one template per (free set,
+    word, cr + ne, al), in which the prefix's cr picks each row's "cr,ne"
+    text from a list.  cr + ne and al are fixed by the word (each opener
+    a meets the 2k - (a - 1) arcs open at a, see _pairs), so there are
+    as many templates as (free set, word) pairs: 637 for 9,009 prefixes
+    at n = 7, 2,548 for 135,135 at n = 8.  Nothing is kept per prefix.
+    The bound on n is checked when this is called.
     """
     check_bound(n)
     return _stats_pieces(n, *STATS_FORMATS[fmt])
 
 
-def _stats_pieces(n: int, row: Callable[..., str], sep: str) -> Iterator[str]:
-    size = 2 * n
+def _stats_pieces(n: int, head: str, sep: str, crne_fmt: str, rest_fmt: str) -> Iterator[str]:
     tails: Tails = {}
-    blocks: dict[State, str] = {}
-    areas: dict[str, int] = {}
-    shared: dict = {}
-    weights = [weight_of_alignments(n, al) for al in range(n * (n - 1) // 2 + 1)]
+    texts: dict = {}
+    templates: dict = {}
+    for text, (free, word, cr, ne, al) in _prefixes(2 * n):
+        key = (free, word, cr + ne, al)
+        template = templates.get(key) or templates.setdefault(
+            key, _template(key, n, crne_fmt, rest_fmt, tails, texts))
+        lead = head + text
+        yield sep.join([f"{lead}{pairs}{crne[cr]}{rest}" for pairs, crne, rest in template])
 
-    def block(state: State) -> str:
-        text = blocks.get(state)
-        if text is None:
-            free, word, cr, ne, al = state
-            rows = []
-            for t, dcr, dne, dal, w in _tail(free, size, tails):
-                full = word + w
-                if full not in areas:
-                    areas[full] = area(full)
-                rows.append(row(t, cr + dcr, ne + dne, al + dal, full, areas[full],
-                                weights[al + dal]))
-            # states share free sets and words: the keys hold one copy of each (0.45 MiB at n = 7)
-            key = (shared.setdefault(free, free), shared.setdefault(word, word), cr, ne, al)
-            text = blocks[key] = sep.join(rows)
-        return text
 
-    for text, state in _prefixes(size):
-        yield block(state).replace("\0", text)
+def _template(key: tuple, n: int, crne_fmt: str, rest_fmt: str,
+              tails: Tails, texts: dict) -> list[tuple]:
+    """Each row after the text of a prefix keyed (free set, word, cr + ne, al): the
+    tail's text, "cr,ne" by the prefix's cr, and the rest.  `texts` shares the "cr,ne"
+    lists by (dcr, dne, cr + ne) and the rests, with one area each, by (word, al)."""
+    free, word, total, al = key
+    rows = []
+    for t, dcr, dne, dal, w in _tail(free, 2 * n, tails):
+        crne = texts.get((dcr, dne, total)) or texts.setdefault((dcr, dne, total), [
+            crne_fmt.format(cr + dcr, total - cr + dne) for cr in range(total + 1)])
+        full = word + w
+        rest = texts.get((full, al + dal)) or texts.setdefault((full, al + dal), rest_fmt.format(
+            al + dal, full, area(full), weight_of_alignments(n, al + dal)))
+        rows.append((t, crne, rest))
+    return rows
 
 
 def partner_array(matching: PerfectMatching) -> list[int]:
@@ -279,12 +277,14 @@ class MatchingStats(NamedTuple):
 
 def stats(matching: PerfectMatching) -> MatchingStats:
     """Classify every unordered pair of pairs of the matching."""
+    from . import kernels  # here, so that the `stats` and `rs` commands never load it
     cr, ne, al = kernels.matching_stats(partner_array(matching))
     return MatchingStats(cr, ne, al)
 
 
 def joint_distribution(n: int) -> Counter:
     """Multiset of (crossings, nestings, alignments) over all matchings of [2n]."""
+    from . import kernels
     check_bound(n)
     return Counter(kernels.joint_distribution_counts(n))
 

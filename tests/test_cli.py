@@ -375,6 +375,36 @@ def test_gf_keeps_only_the_last_level():
     assert traced_peak_mib(lambda: diffposet.weight_generating_function((2, 1), 61)) < 10
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stats_keeps_nothing_per_prefix(monkeypatch, fmt):
+    # matchings is imported above, so only the run counts: one block of rows kept per
+    # prefix state peaked near 3.5 MiB (CSV) and 9.7 MiB (JSON); one template per
+    # (free set, word), near 2 MiB in either format
+    monkeypatch.setattr(sys, "stdout", NullWriter())
+    assert traced_peak_mib(lambda: main(["stats", "--n", "7", "--format", fmt])) < 3
+
+
+class HashWriter(NullWriter):
+    """Stands in for sys.stdout and hashes every write, keeping none."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize("n, fmt", [(6, "csv"), (6, "json"), (matchings.MAX_MATCHING_N, "csv")])
+def test_stats_bytes_as_written_equal_the_golden(monkeypatch, n, fmt):
+    # with the row oracle (n <= 5) and the n = 7 golden, every allowed n is pinned;
+    # n = 8 is 141 MB of CSV, hashed as it is written and never held
+    out = HashWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["stats", "--n", str(n), "--format", fmt]) == 0
+    assert out.sha.hexdigest() == GOLDENS[f"stats_n{n}_sha256"][fmt]
+
+
 def test_q_table_writes_entries_before_the_last_level_is_built(monkeypatch):
     events = []
     real = diffposet.q_levels
@@ -884,9 +914,11 @@ def loaded_modules(argv):
         (("avg-weight", "--shape", "1", "--n", "1"), ("tableaux",), ("kernels",)),
         (("gf", "--shape", "2,1", "--length", "5"),
          ("diffposet",), ("tableaux", "kernels", "matchings", "homomesy", "verify")),
-        (("stats", "--n", "2"), ("matchings",), ("verify", "diffposet", "tableaux", "laurent")),
+        (("stats", "--n", "2"), ("matchings",),
+         ("verify", "diffposet", "tableaux", "laurent", "kernels")),
         (("homomesy", "--target-set", "matchings", "--n", "2"), ("homomesy",), ("verify", "diffposet")),
         (("verify", "--suite", "skew"), ENGINES, ()),
+        (("rs", "forward", "--matching", "1-4,2-3"), ("matchings", "tableaux"), ("kernels",)),
     ],
 )
 def test_a_command_imports_only_what_it_runs(argv, loaded, absent):

@@ -175,32 +175,40 @@ def test_scan_builds_each_free_set_once(monkeypatch, n):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_stats_table_formats_each_state_once(monkeypatch, fmt):
-    n = 6
-    prefixes = set()
-    states = set()
+def test_stats_table_builds_each_template_once(monkeypatch, fmt):
+    n = 7
+    keys = set()
     for m in enumerate_matchings(n):
         prefix = m[: n - matchings.TAIL_PAIRS]
         used = {x for pair in prefix for x in pair}
         free = tuple(x for x in range(1, 2 * n + 1) if x not in used)
         openers = {a for a, _ in prefix}
         word = "".join("1" if x in openers else "0" for x in range(1, free[0]))
-        prefixes.add(prefix)
-        states.add((free, word, *brute_stats(prefix)))
-    assert (len(prefixes), len(states)) == (693, 497)
-    formatted = Counter()
-    row, sep = matchings.STATS_FORMATS[fmt]
+        cr, ne, al = brute_stats(prefix)
+        keys.add((free, word, cr + ne, al))
+    assert len(keys) == 637
+    built = Counter()
+    template = matchings._template
 
-    def spy(text, cr, ne, al, word, area, wt):
-        formatted[text, cr, ne, al, word] += 1
-        return row(text, cr, ne, al, word, area, wt)
+    def spy(key, *args):
+        built[key] += 1
+        return template(key, *args)
 
-    monkeypatch.setitem(matchings.STATS_FORMATS, fmt, (spy, sep))
-    for _ in matchings.stats_table(n, fmt):
-        pass
-    # 15 completions of each state's free set, each formatted once
-    assert sum(formatted.values()) == 15 * len(states)
-    assert set(formatted.values()) == {1}
+    monkeypatch.setattr(matchings, "_template", spy)
+    for _ in range(2):  # the templates live for one call
+        built.clear()
+        for _ in matchings.stats_table(n, fmt):
+            pass
+        assert set(built) == keys
+        assert set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_a_prefix_word_fixes_its_cr_plus_ne_and_al(n):
+    # what keeps the templates as few as the (free set, word) pairs
+    seen = {}
+    for _, (free, word, cr, ne, al) in matchings._prefixes(2 * n):
+        assert seen.setdefault((free, word), (cr + ne, al)) == (cr + ne, al)
 
 
 @pytest.mark.parametrize("n", range(7))
