@@ -145,7 +145,7 @@ def cmd_count(args) -> RunReport:
     details: dict[str, Any] = {"formula": str(formula)}
     outcome = "pass"
     if formula <= max_enumeration_size() and not args.skip_enumeration:
-        enumerated = tableaux.walk_totals((), shape, size(shape) + 2 * args.n)[0]
+        enumerated = tableaux.walk_totals((), (shape,), size(shape) + 2 * args.n)[shape][0]
         details["enumerated"] = str(enumerated)
         details["equal"] = enumerated == formula
         outcome = "pass" if enumerated == formula else "fail"
@@ -194,6 +194,10 @@ def cmd_avg_weight(args) -> RunReport:
             raise OsctabError(
                 f"--length {args.length} does not match --n {args.n}: "
                 f"|shape| - |mu| + 2n = {length}"
+            )
+        if length < 0:
+            raise OsctabError(
+                f"--n {args.n} gives a negative length: |shape| - |mu| + 2n = {length}"
             )
     elif args.length is not None:
         length = args.length

@@ -325,15 +325,6 @@ def dyck_of_matching(matching: PerfectMatching) -> str:
     return "".join("1" if partner[i] > i else "0" for i in range(len(partner)))
 
 
-def dyck_of_tableau(tableau: OscillatingTableau) -> str:
-    """Letter i is 1 when step i adds a box, 0 when it removes one.
-
-    Only closed walks (empty start and end, hence even length) project
-    to balanced words; anything else raises ShapeMismatchError.
-    """
-    return "".join("1" if sign > 0 else "0" for _, sign in _walk_steps(tableau))
-
-
 def area(word: str) -> int:
     """Complete unit boxes between the path and the diagonal.
 
@@ -489,11 +480,6 @@ def matching_to_tableau(matching: PerfectMatching) -> OscillatingTableau:
 def weight_of_alignments(n: int, alignments: int) -> int:
     """Walk weight of the image of an n-pair matching: n + 2 * (C(n, 2) - alignments)."""
     return n + 2 * (n * (n - 1) // 2 - alignments)
-
-
-def weight_via_matching(matching: PerfectMatching) -> int:
-    """Walk weight of the matching's image under the insertion bijection."""
-    return weight_of_alignments(len(matching), stats(matching).alignments)
 
 
 def conjugate_tableau(tableau: OscillatingTableau) -> OscillatingTableau:

@@ -76,55 +76,82 @@ def refuse_over_cap(start: Partition, shape: Partition, length: int) -> int:
 
 
 def _walks(
-    start: Partition, shape: Partition, length: int
-) -> Iterator[tuple[list[Partition], int]]:
-    """Yield (path, weight) for each walk from start to shape, depth-first.
+    start: Partition, shapes: Sequence[Partition], length: int
+) -> Iterator[tuple[list[Partition], Partition, int]]:
+    """Yield (path, shape, weight) for each walk from start to one of shapes, depth-first.
 
-    The one walk DFS; enumerate_ot and walk_totals read it.  `path` is a
-    live list of the walk's first `length` entries: a prefix that long
-    which survived the pruning is one step from shape, so that forced
-    last step is never searched.  `weight`, stacked beside the path,
-    includes sum(shape); the length-0 walk yields ([], sum(start)).
-    Growths come before removals, largest part and top row first.  Each
-    distinct partition's moves are listed once, with their distance to
-    shape and size; parity and reach are checked once (a mismatch yields
-    nothing), then a move is taken when its distance fits the steps left.
-    The OSCTAB_MAX_ENUM cap lives here: more than
-    util.max_enumeration_size() walks, the length-0 walk counted, raise
+    The one walk DFS; enumerate_ot and walk_totals read it.  One pass
+    serves every shape of one length.  A shape that the parity or reach
+    of its distance from start rules out is dropped first; a move is
+    taken when its box distance to the nearest shape fits the steps
+    left, and each prefix one step short credits every shape next to
+    it, in shapes' order, so the last step is never searched.  `path` is
+    a live list of the walk's first `length` entries and `weight` is the
+    sum of their sizes, sum(shape) left out (the length-0 walk yields
+    ([], start, 0)).  Growths come before removals, largest part and top
+    row first.  Each distinct partition's moves are listed once per
+    pass, with their nearest-shape distance, the shapes next to them and
+    their size.  The OSCTAB_MAX_ENUM cap lives here, per shape: more
+    than util.max_enumeration_size() walks to one shape raise
     BoundExceededError.
     """
     cap = max_enumeration_size()
-    distance = cover_distance(start, shape)
-    if distance > length or (length - distance) % 2:
+    shapes = [
+        shape
+        for shape in dict.fromkeys(shapes)
+        if (distance := cover_distance(start, shape)) <= length and not (length - distance) % 2
+    ]
+    if length < 2 or not shapes:
+        # each shape kept is start itself (length 0) or next to it (length 1)
+        path = [start][:length]
+        for shape in shapes:
+            yield path, shape, sum(map(sum, path))
         return
-    if not length:  # start == shape
-        yield [], sum(shape)
-        return
-    moves: dict[Partition, list[tuple[Partition, int, int]]] = {}
-    produced = 0
-    path, weights = [start], [sum(start) + sum(shape)]
-    stack: list[Iterator[tuple[Partition, int, int]]] = []  # open moves out of path[i]
+    produced = [0] * len(shapes)
+    # partition -> its distance to the nearest shape, and (index, shape) of each
+    # shape one step from it; every shape kept has the parity of |start| +
+    # length, so a prefix one step short that the pruning kept is next to one
+    reach: dict[Partition, tuple[int, list[tuple[int, Partition]]]] = {}
+
+    def near(partition: Partition) -> tuple[int, list[tuple[int, Partition]]]:
+        found = reach.get(partition)
+        if found is None:
+            distances = [cover_distance(partition, shape) for shape in shapes]
+            found = reach[partition] = min(distances), [
+                (index, shape) for index, shape in enumerate(shapes) if distances[index] == 1
+            ]
+        return found
+
+    # the moves out of a partition: (next, its distance to the nearest shape and
+    # the shapes next to it, its size)
+    moves: dict[Partition, list[tuple[Partition, int, list, int]]] = {}
+    path, weights = [start], [sum(start)]
+    stack: list[Iterator[tuple[Partition, int, list, int]]] = []  # open moves out of path[i]
     while True:
-        if len(path) == length:
-            produced += 1
-            if produced > cap:
-                raise cap_exceeded(cap)
-            yield path, weights[-1]
+        current = path[-1]
+        table = moves.get(current)
+        if table is None:
+            table = moves[current] = [
+                (nxt, *near(nxt), sum(nxt)) for nxt in covers_up(current) + covers_down(current)
+            ]
+        if len(path) < length - 1:
+            stack.append(iter(table))
+        else:  # a move next to a shape makes a prefix one step short
+            for last, _, last_ends, last_size in table:
+                if last_ends:
+                    path.append(last)
+                    for index, shape in last_ends:
+                        produced[index] += 1
+                        if produced[index] > cap:
+                            raise cap_exceeded(cap)
+                        yield path, shape, weights[-1] + last_size
+                    path.pop()
             path.pop()
             weights.pop()
-        else:
-            current = path[-1]
-            table = moves.get(current)
-            if table is None:
-                table = moves[current] = [
-                    (nxt, cover_distance(nxt, shape), sum(nxt))
-                    for nxt in covers_up(current) + covers_down(current)
-                ]
-            stack.append(iter(table))
-        # advance to the next prefix: the deepest open move that still reaches shape
+        # advance to the next prefix: the deepest open move that still reaches a shape
         while stack:
             left = length - len(path)  # steps left after a move out of path[-1]
-            for nxt, distance, nxt_size in stack[-1]:
+            for nxt, distance, _, nxt_size in stack[-1]:
                 if distance <= left:
                     break
             else:
@@ -141,7 +168,7 @@ def _walks(
 
 def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
     """Yield each walk from start to shape as a tuple, in _walks's order, under its cap."""
-    return ((*path, shape) for path, _ in _walks(start, shape, length))
+    return ((*path, shape) for path, _, _ in _walks(start, (shape,), length))
 
 
 def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]:
@@ -169,13 +196,21 @@ def average_size_formula(k: int, n: int) -> Fraction:
     return average_weight_formula(k, n) / (2 * n + k + 1)
 
 
-def walk_totals(start: Partition, shape: Partition, length: int) -> tuple[int, int]:
-    """(count, total weight) of the walks enumerate_ot yields, from _walks's weights."""
-    count = total = 0
-    for _, walk_weight in _walks(start, shape, length):
-        count += 1
-        total += walk_weight
-    return count, total
+def walk_totals(
+    start: Partition, shapes: Sequence[Partition], length: int
+) -> dict[Partition, tuple[int, int]]:
+    """{shape: (count, total weight)} of the walks enumerate_ot yields, for each of shapes.
+
+    One _walks pass serves them all, crediting each walk to its shape; a
+    shape no walk reaches maps to (0, 0).  The cap applies per shape.
+    """
+    sums = {shape: [0, 0] for shape in shapes}  # shape -> [count, total of _walks's weights]
+    for _, shape, path_weight in _walks(start, shapes, length):
+        shape_sums = sums[shape]
+        shape_sums[0] += 1
+        shape_sums[1] += path_weight
+    # each walk ends on its shape, which _walks's weights leave out
+    return {shape: (count, total + count * sum(shape)) for shape, (count, total) in sums.items()}
 
 
 def average_weight_enumerated(
@@ -186,7 +221,7 @@ def average_weight_enumerated(
     Raises EmptyEnumerationError when no walk exists (parity or size
     mismatch between the endpoints and the length).
     """
-    count, total = walk_totals(start, shape, length)
+    count, total = walk_totals(start, (shape,), length)[shape]
     if count == 0:
         raise EmptyEnumerationError(
             f"no walks of length {length} from {format_partition(start)} "

@@ -47,24 +47,36 @@ def _row(name: str, lhs, rhs) -> CheckRow:
     return CheckRow(name, lhs == rhs, str(lhs), str(rhs))
 
 
-# one tableaux.walk_totals pass per cell, shared by suite_count and
-# suite_weight; run_suite clears the cache, so each run enumerates anew
+# one tableaux.walk_totals pass per distinct length, with all of that length's
+# shapes, shared by suite_count and suite_weight; run_suite clears the cache,
+# so each run enumerates anew
 _walk_totals = cache(tableaux.walk_totals)
 
 
 def _walk_cells(kmax: int, nmax: int) -> list[tuple[Partition, int, int, int, int]]:
-    """The count and weight suites' cells, (shape, |shape|, n, count, total), all capped first."""
+    """The count and weight suites' cells, (shape, |shape|, n, count, total), all capped first.
+
+    A cell's length is |shape| + 2n, and the cells of one length share one
+    walk pass: 11 passes for the 48 cells of kmax = 4, nmax = 3.
+    """
     cells = [(shape, size(shape), n) for shape in partitions_up_to(kmax) for n in range(nmax + 1)]
+    by_length: dict[int, list[Partition]] = {}
     for shape, k, n in cells:
         tableaux.refuse_over_cap(EMPTY, shape, k + 2 * n)
-    return [(shape, k, n, *_walk_totals(EMPTY, shape, k + 2 * n)) for shape, k, n in cells]
+        by_length.setdefault(k + 2 * n, []).append(shape)
+    totals = {
+        length: _walk_totals(EMPTY, tuple(shapes), length)
+        for length, shapes in sorted(by_length.items())
+    }
+    return [(shape, k, n, *totals[k + 2 * n][shape]) for shape, k, n in cells]
 
 
 def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
     """Enumerated walk counts against C(2n+k, k) (2n-1)!! f(shape), tableaux.walk_count's.
 
     The counts come from tableaux.walk_totals, the brute-force walk
-    enumeration, through the per-run cache _walk_totals.
+    enumeration, one pass per length (_walk_cells) through the per-run
+    cache _walk_totals.
     """
     rows = []
     for shape, k, n, enumerated, _ in _walk_cells(kmax, nmax):
@@ -81,9 +93,9 @@ def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
 def suite_weight(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
     """Enumerated average weights against the quadratic closed form.
 
-    The averages are total over count from tableaux.walk_totals, through
-    the per-run cache _walk_totals that suite_count reads too, so one run
-    of both walks each cell once.
+    The averages are total over count from tableaux.walk_totals, one
+    pass per length through the per-run cache _walk_totals that
+    suite_count reads too, so one run of both walks each length once.
     """
     rows = []
     for shape, k, n, count, total in _walk_cells(kmax, nmax):
@@ -175,6 +187,9 @@ def suite_rs(nmax: int = 5) -> list[CheckRow]:
     Each matching's image is decoded once: the steps that
     matchings.tableau_to_matching reads (_walk_steps, then _unwalk) also
     give the image's word, and the inverse round trip reuses the result.
+    The matching's own word and alignments are read from the row of
+    matchings.scan_matchings that comes beside it, as the scan yields
+    its rows in enumerate_matchings order.
     """
     rows = []
     for n in range(1, nmax + 1):
@@ -184,7 +199,8 @@ def suite_rs(nmax: int = 5) -> list[CheckRow]:
         dyck_ok = True
         weight_ok = True
         count = 0
-        for m in matchings.enumerate_matchings(n):
+        scan = chain.from_iterable(matchings.scan_matchings(n))
+        for m, (_, _, _, al, m_word) in zip(matchings.enumerate_matchings(n), scan, strict=True):
             count += 1
             t = matchings.matching_to_tableau(m)
             steps = matchings._walk_steps(t)
@@ -192,9 +208,9 @@ def suite_rs(nmax: int = 5) -> list[CheckRow]:
             if not images[t]:
                 round_ok = False
             word = "".join("1" if sign > 0 else "0" for _, sign in steps)
-            if matchings.dyck_of_matching(m) != word:
+            if m_word != word:
                 dyck_ok = False
-            if tableaux.weight(t) != matchings.weight_via_matching(m):
+            if tableaux.weight(t) != matchings.weight_of_alignments(n, al):
                 weight_ok = False
         ot_count = 0
         inverse_round_ok = True
@@ -224,7 +240,10 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
     counted from the word alone.
     tests/test_matchings.py::test_scan_rows_equal_enumerated_stats holds
     the scan equal to the per-matching classifier (kernels.matching_stats,
-    which matchings.stats wraps) for n <= 6.
+    which matchings.stats wraps) for n <= 6.  The "wt = 2 area + n on
+    walks" rows read each closed walk's word from the signs of its size
+    steps, as enumerate_ot yields single-box walks only; suite_rs decodes
+    each of those walks through matchings._walk_steps, which validates it.
     """
     rows = []
     for word, expected in (("101010", 0), ("101100", 1), ("111000", 3)):
@@ -261,10 +280,12 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
         )
     area = cache(matchings.area)  # once per distinct word: 64 for the 1,069 walks
     for n in range(1, 6):
-        wt_ok = all(
-            tableaux.weight(t) == 2 * area(matchings.dyck_of_tableau(t)) + n
-            for t in tableaux.enumerate_ot((), (), 2 * n)
-        )
+        wt_ok = True
+        for t in tableaux.enumerate_ot((), (), 2 * n):
+            sizes = [sum(step) for step in t]
+            word = "".join("1" if after > before else "0" for before, after in zip(sizes, sizes[1:]))
+            if sum(sizes) != 2 * area(word) + n:
+                wt_ok = False
         rows.append(_row(f"wt = 2 area + n on walks, n={n}", wt_ok, True))
     for n in range(1, 8):
         path_ok = True

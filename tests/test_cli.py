@@ -829,6 +829,9 @@ def test_timing_flag_leaves_csv_alone(capsys, argv, header):
         (("avg-weight", "--shape", "-", "--n", "2", "--length", "6"), "does not match"),
         # matchings take no shape, so one given is refused rather than ignored
         (("homomesy", "--target-set", "matchings", "--n", "3", "--shape", "2"), "--shape"),
+        # |shape| - |mu| + 2n = -2 is no length: refused, not reported as an empty walk set
+        (("avg-weight", "--mu", "2", "--shape", "-", "--n", "0"),
+         "error: --n 0 gives a negative length"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, message):

@@ -20,7 +20,6 @@ from osctab.matchings import (
     conjugate_matching,
     conjugate_tableau,
     dyck_of_matching,
-    dyck_of_tableau,
     enumerate_dyck_words,
     enumerate_matchings,
     format_matching,
@@ -32,9 +31,24 @@ from osctab.matchings import (
     scan_matchings,
     stats,
     tableau_to_matching,
-    weight_via_matching,
+    weight_of_alignments,
 )
+from osctab.partitions import OscillatingTableau
 from osctab.tableaux import enumerate_ot, weight
+
+
+def dyck_of_tableau(tableau: OscillatingTableau) -> str:
+    """Letter i is 1 when step i adds a box, 0 when it removes one.
+
+    Only closed walks (empty start and end, hence even length) project
+    to balanced words; anything else raises ShapeMismatchError.
+    """
+    return "".join("1" if sign > 0 else "0" for _, sign in matchings._walk_steps(tableau))
+
+
+def weight_via_matching(matching: PerfectMatching) -> int:
+    """Walk weight of the matching's image under the insertion bijection."""
+    return weight_of_alignments(len(matching), stats(matching).alignments)
 
 
 def permutation_bridge(matching: PerfectMatching) -> tuple[int, ...]:

@@ -8,40 +8,53 @@ from osctab.partitions import partitions_up_to, size
 
 
 def spy_on_walks(monkeypatch) -> list:
-    """Record the (shape, length) of every call of tableaux._walks, the walk DFS core."""
+    """Record the (shapes, length) of every call of tableaux._walks, the walk DFS core."""
     calls = []
     original = tableaux._walks
 
-    def spy(start, shape, length):
-        calls.append((shape, length))
-        return original(start, shape, length)
+    def spy(start, shapes, length):
+        calls.append((tuple(shapes), length))
+        return original(start, shapes, length)
 
     monkeypatch.setattr(tableaux, "_walks", spy)
     return calls
 
 
-def cells(kmax, nmax):
-    return [(shape, size(shape) + 2 * n) for shape in partitions_up_to(kmax) for n in range(nmax + 1)]
+def passes(kmax, nmax):
+    """One (shapes, length) per distinct length |shape| + 2n, lengths ascending."""
+    by_length = {}
+    for shape in partitions_up_to(kmax):
+        for n in range(nmax + 1):
+            by_length.setdefault(size(shape) + 2 * n, []).append(shape)
+    return [(tuple(shapes), length) for length, shapes in sorted(by_length.items())]
 
 
 def test_count_and_weight_enumerate_each_cell_once(monkeypatch):
     verify._walk_totals.cache_clear()
     calls = spy_on_walks(monkeypatch)
     assert all(row.passed for row in verify.suite_count() + verify.suite_weight())
-    assert len(calls) == 48
-    assert calls == cells(4, 3)
+    # the 48 cells (shape, n) of |shape| <= 4, n <= 3 share 11 lengths, one pass each
+    assert len(calls) == 11
+    assert calls == passes(4, 3)
+    assert sum(len(shapes) for shapes, _ in calls) == 48
 
 
 def test_a_suite_run_alone_enumerates_its_own_cells(monkeypatch):
     verify._walk_totals.cache_clear()
     calls = spy_on_walks(monkeypatch)
     assert all(row.passed for row in verify.suite_count(kmax=5, nmax=1))
-    assert calls == cells(5, 1)
+    assert calls == passes(5, 1)
+    assert len(calls) == 8  # lengths 0 to 7
     # each run_suite call enumerates anew, with its own overrides
     calls.clear()
     for _ in range(2):
         assert all(row.passed for row in verify.run_suite("weight", kmax=1, nmax=1))
-    assert calls == cells(1, 1) * 2
+    assert calls == passes(1, 1) * 2
+
+
+def test_each_battery_alone_returns_its_rows_of_the_full_run():
+    alone = {name: verify.run_suite(name) for name in reversed(verify.SUITES)}
+    assert verify.run_suite("all") == [row for name in verify.SUITES for row in alone[name]]
 
 
 def spy_on(monkeypatch, module, name) -> list:
@@ -116,6 +129,35 @@ def test_the_rs_suite_maps_each_matching_once(monkeypatch):
     # image whose matching came back, so the inverse round trip maps none again
     assert len(forward) == 1069
     assert inverse == []
+
+
+def test_the_rs_suite_reads_the_matching_scan(monkeypatch):
+    scans = spy_on(monkeypatch, matchings, "scan_matchings")
+    classified = spy_on(monkeypatch, matchings, "stats")
+    words = spy_on(monkeypatch, matchings, "dyck_of_matching")
+    assert all(row.passed for row in verify.suite_rs(5))
+    assert scans == [(n,) for n in range(1, 6)]
+    assert classified == words == []
+
+
+@pytest.mark.parametrize(
+    "slot, extra, check", [(3, 1, "rs weight formula"), (4, "0", "rs word preserved")]
+)
+def test_the_rs_suite_fails_where_one_scan_row_is_wrong(monkeypatch, slot, extra, check):
+    real = matchings.scan_matchings
+
+    def scan(n):
+        for batch in real(n):
+            if n == 3:  # the first row of n = 3 gets one alignment more, or a 0 more
+                row = list(batch[0])
+                row[slot] += extra
+                batch = [tuple(row), *batch[1:]]
+            yield batch
+
+    monkeypatch.setattr(matchings, "scan_matchings", scan)
+    rows = verify.suite_rs(3)
+    assert all(rs_rows(rows, 2).values())
+    assert [name for name, passed in rs_rows(rows, 3).items() if not passed] == [check]
 
 
 def test_the_rs_suite_fails_where_the_inverse_breaks_for_one_walk(monkeypatch):
