@@ -322,7 +322,7 @@ def cmd_rs_inverse(args) -> RunReport:
 def cmd_rs_roundtrip(args) -> RunReport:
     from . import verify
 
-    rows = verify.suite_rs(args.n)
+    rows = verify.run_suite("rs", nmax=args.n)
     outcome, payload = _check_rows_payload(rows)
     return RunReport("rs roundtrip", {"n": args.n}, outcome, {"checks": payload})
 

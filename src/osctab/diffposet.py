@@ -14,7 +14,7 @@ are tableaux.walk_count's.
 
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence
 
 from .laurent import LaurentPolynomial
 from .partitions import (
@@ -31,13 +31,6 @@ from .util import normal_order_coefficient
 FormalSum = dict[Partition, int]
 
 
-def as_formal_sum(value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
-    """Coerce a bare partition to the formal sum with coefficient 1."""
-    if isinstance(value, tuple):
-        return {value: 1}
-    return {p: c for p, c in value.items() if c}
-
-
 def _accumulate(acc: FormalSum, partition: Partition, coeff: int) -> None:
     total = acc.get(partition, 0) + coeff
     if total:
@@ -46,10 +39,10 @@ def _accumulate(acc: FormalSum, partition: Partition, coeff: int) -> None:
         acc.pop(partition, None)
 
 
-def _apply(covers, value: Union[Partition, Mapping[Partition, int]]) -> FormalSum:
+def _apply(covers, value: FormalSum) -> FormalSum:
     """Linear extension of: partition -> sum of covers(partition)."""
     result: FormalSum = {}
-    for partition, coeff in as_formal_sum(value).items():
+    for partition, coeff in value.items():
         for cover in covers(partition):
             _accumulate(result, cover, coeff)
     return result
@@ -61,7 +54,8 @@ def _straightening(partition: Partition, i_max: int, up, down) -> list[bool]:
     One chain each of U^i p and U^i D p; U^(i-1) p is the chain's previous
     step.  U and D extend the cover functions `up` and `down`.
     """
-    prev, ups, up_down = {}, {partition: 1}, _apply(down, partition)
+    prev, ups = {}, {partition: 1}
+    up_down = _apply(down, ups)
     holds = []
     for i in range(i_max + 1):
         if i:

@@ -9,8 +9,8 @@ the matchings to the walks while preserving that projection.
 """
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from typing import Iterator, NamedTuple, Sequence
+from functools import cache
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import BoundExceededError, InvalidDyckWordError, ShapeMismatchError
 from .partitions import EMPTY, OscillatingTableau, Partition, box_step, conjugate
@@ -82,7 +82,6 @@ def enumerate_matchings(n: int) -> Iterator[PerfectMatching]:
 
 
 ScanRow = tuple[str, int, int, int, str]
-Tails = dict[tuple[int, ...], list[ScanRow]]
 # a prefix's free set, its Dyck word so far and its running (cr, ne, al)
 State = tuple[tuple[int, ...], str, int, int, int]
 
@@ -99,22 +98,22 @@ def scan_matchings(n: int) -> Iterator[list[ScanRow]]:
     (_pairs).
 
     Those increments depend only on the free set, so the last TAIL_PAIRS
-    pairs are not walked per prefix: the completions of each distinct
-    free set (15 for 6 elements) with their text, increments and word are
-    built once per call and added to every prefix that leaves that set.
-    At n = 7, 9,009 prefixes share 210 six-element sets (364 sets with
-    the smaller ones the tables are built from); at n = 8, 135,135
-    prefixes share 462 (708).  On a shared Xeon with Python 3.11 this
-    yields the 135,135 rows of n = 7 in about 0.05 s and the 2,027,025 of
-    n = 8 in about 0.85 s.  The bound on n is checked when this is called,
-    before the first batch is asked for.
+    pairs are not walked per prefix: one _completion_table per call builds
+    the completions of each distinct free set (15 for 6 elements) with
+    their text, increments and word once, and they are added to every
+    prefix that leaves that set.  At n = 7, 9,009 prefixes share 210
+    six-element sets (364 sets with the smaller ones the table builds
+    them from); at n = 8, 135,135 prefixes share 462 (708).  On a shared
+    Xeon with Python 3.11 this yields the 135,135 rows of n = 7 in about
+    0.05 s and the 2,027,025 of n = 8 in about 0.85 s.  The bound on n is
+    checked when this is called, before the first batch is asked for.
     """
     check_bound(n)
     size = 2 * n
-    tails: Tails = {}
+    completions = _completion_table(size)
     return (
         [(text + t, cr + dcr, ne + dne, al + dal, word + w)
-         for t, dcr, dne, dal, w in _tail(free, size, tails)]
+         for t, dcr, dne, dal, w in completions(free)]
         for text, (free, word, cr, ne, al) in _prefixes(size)
     )
 
@@ -171,32 +170,30 @@ def _pairs(free: list[int], size: int) -> Iterator[tuple[int, int, int, int, int
     free.insert(0, a)
 
 
-def _tail(free: tuple[int, ...], size: int, tails: Tails) -> list[ScanRow]:
-    """The completions of a free set of [size], read from `tails` or built into it."""
-    tail = tails.get(free)
-    if tail is None:
-        tail = tails[free] = _completions(free, size, tails)
-    return tail
-
-
-def _completions(free: tuple[int, ...], size: int, tails: Tails) -> list[ScanRow]:
-    """Every pairing of a free set of [size], in enumerate_matchings order.
+def _completion_table(size: int) -> Callable[[tuple[int, ...]], list[ScanRow]]:
+    """completions(free): every pairing of a free set of [size], in enumerate_matchings
+    order, built once per free set for as long as the returned function lives.
 
     An entry is (text, dcr, dne, dal, word): the pairs, the statistics
     they add, and the word's letters from free[0] on.
     """
-    if not free:
-        return [("", 0, 0, 0, "")]
-    rest = list(free)
-    out = []
-    for a, b, dcr, dne, dal in _pairs(rest, size):
-        # a opens; the elements after it up to the next free one close
-        lead = "1".ljust((rest[0] if rest else size + 1) - a, "0")
-        out += [
-            (f"{a}-{b};{text}" if text else f"{a}-{b}", dcr + cr, dne + ne, dal + al, lead + word)
-            for text, cr, ne, al, word in _tail(tuple(rest), size, tails)
-        ]
-    return out
+
+    @cache
+    def completions(free: tuple[int, ...]) -> list[ScanRow]:
+        if not free:
+            return [("", 0, 0, 0, "")]
+        rest = list(free)
+        out = []
+        for a, b, dcr, dne, dal in _pairs(rest, size):
+            # a opens; the elements after it up to the next free one close
+            lead = "1".ljust((rest[0] if rest else size + 1) - a, "0")
+            out += [
+                (f"{a}-{b};{text}" if text else f"{a}-{b}", dcr + cr, dne + ne, dal + al, lead + word)
+                for text, cr, ne, al, word in completions(tuple(rest))
+            ]
+        return out
+
+    return completions
 
 
 # per format, the text before a stats row and between rows, then the formats
@@ -224,40 +221,38 @@ def stats_table(n: int, fmt: str) -> Iterator[str]:
     text from a list.  cr + ne and al are fixed by the word (each opener
     a meets the 2k - (a - 1) arcs open at a, see _pairs), so there are
     as many templates as (free set, word) pairs: 637 for 9,009 prefixes
-    at n = 7, 2,548 for 135,135 at n = 8.  Nothing is kept per prefix.
-    The bound on n is checked when this is called.
+    at n = 7, 2,548 for 135,135 at n = 8.  The templates, the "cr,ne"
+    lists they share by (dcr, dne, cr + ne), the rests they share by
+    (word, al), each with one area, and the completion table are cached
+    functions built once per call.  Nothing is kept per prefix.  The
+    bound on n is checked when this is called.
     """
     check_bound(n)
     return _stats_pieces(n, *STATS_FORMATS[fmt])
 
 
 def _stats_pieces(n: int, head: str, sep: str, crne_fmt: str, rest_fmt: str) -> Iterator[str]:
-    tails: Tails = {}
-    texts: dict = {}
-    templates: dict = {}
+    completions = _completion_table(2 * n)
+
+    @cache
+    def crne_texts(dcr: int, dne: int, total: int) -> list[str]:
+        # a tail adding (dcr, dne) after a prefix with cr + ne = total, by the prefix's cr
+        return [crne_fmt.format(cr + dcr, total - cr + dne) for cr in range(total + 1)]
+
+    @cache
+    def rest_text(word: str, al: int) -> str:
+        return rest_fmt.format(al, word, area(word), weight_of_alignments(n, al))
+
+    @cache
+    def template(free: tuple[int, ...], word: str, total: int, al: int) -> list[tuple]:
+        """Each row after the text of a prefix: the tail's text, its "cr,ne" list and the rest."""
+        return [(t, crne_texts(dcr, dne, total), rest_text(word + w, al + dal))
+                for t, dcr, dne, dal, w in completions(free)]
+
     for text, (free, word, cr, ne, al) in _prefixes(2 * n):
-        key = (free, word, cr + ne, al)
-        template = templates.get(key) or templates.setdefault(
-            key, _template(key, n, crne_fmt, rest_fmt, tails, texts))
         lead = head + text
-        yield sep.join([f"{lead}{pairs}{crne[cr]}{rest}" for pairs, crne, rest in template])
-
-
-def _template(key: tuple, n: int, crne_fmt: str, rest_fmt: str,
-              tails: Tails, texts: dict) -> list[tuple]:
-    """Each row after the text of a prefix keyed (free set, word, cr + ne, al): the
-    tail's text, "cr,ne" by the prefix's cr, and the rest.  `texts` shares the "cr,ne"
-    lists by (dcr, dne, cr + ne) and the rests, with one area each, by (word, al)."""
-    free, word, total, al = key
-    rows = []
-    for t, dcr, dne, dal, w in _tail(free, 2 * n, tails):
-        crne = texts.get((dcr, dne, total)) or texts.setdefault((dcr, dne, total), [
-            crne_fmt.format(cr + dcr, total - cr + dne) for cr in range(total + 1)])
-        full = word + w
-        rest = texts.get((full, al + dal)) or texts.setdefault((full, al + dal), rest_fmt.format(
-            al + dal, full, area(full), weight_of_alignments(n, al + dal)))
-        rows.append((t, crne, rest))
-    return rows
+        rows = template(free, word, cr + ne, al)
+        yield sep.join([f"{lead}{pairs}{crne[cr]}{rest}" for pairs, crne, rest in rows])
 
 
 def partner_array(matching: PerfectMatching) -> list[int]:
@@ -280,13 +275,6 @@ def stats(matching: PerfectMatching) -> MatchingStats:
     from . import kernels  # here, so that the `stats` and `rs` commands never load it
     cr, ne, al = kernels.matching_stats(partner_array(matching))
     return MatchingStats(cr, ne, al)
-
-
-def joint_distribution(n: int) -> Counter:
-    """Multiset of (crossings, nestings, alignments) over all matchings of [2n]."""
-    from . import kernels
-    check_bound(n)
-    return Counter(kernels.joint_distribution_counts(n))
 
 
 def validate_dyck_word(word: str) -> None:

@@ -5,7 +5,6 @@ with both sides rendered so a failure is self-describing.  The CLI
 `verify` command and the acceptance tests both run these.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations
@@ -248,19 +247,20 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
     rows = []
     for word, expected in (("101010", 0), ("101100", 1), ("111000", 3)):
         rows.append(_row(f"area({word})", matchings.area(word), expected))
+
+    @cache
+    def word_sums(word: str) -> tuple[int, int]:  # (area, sum(a)), once per distinct word
+        return matchings.area(word), sum(matchings.prefix_stats(word)[0])
+
     for n in range(1, nmax + 1):
         sum_ok = True
         align_ok = True
         prefix_ok = True
         align_total = 0
         count = 0
-        word_sums: dict[str, tuple[int, int]] = {}  # (area, sum(a)) once per distinct word
         for _, cr, ne, al, word in chain.from_iterable(matchings.scan_matchings(n)):
             count += 1
-            if word not in word_sums:
-                a, _ = matchings.prefix_stats(word)
-                word_sums[word] = matchings.area(word), sum(a)
-            word_area, a_sum = word_sums[word]
+            word_area, a_sum = word_sums(word)
             if cr + ne + al != comb(n, 2):
                 sum_ok = False
             if al != comb(n, 2) - word_area:
@@ -295,10 +295,10 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
             if sum(a) != word_area or sum(b) != 2 * word_area + n:
                 path_ok = False
         rows.append(_row(f"sum(a) = area, sum(b) = 2 area + n, paths n={n}", path_ok, True))
-    distributions = {n: matchings.joint_distribution(n) for n in range(2, nmax + 1)}
+    distributions = {n: kernels.joint_distribution_counts(n) for n in range(2, nmax + 1)}
     for n, jd in distributions.items():
         swapped = {(ne, cr, al): c for (cr, ne, al), c in jd.items()}
-        rows.append(_row(f"joint cr<->ne symmetric n={n}", dict(jd) == swapped, True))
+        rows.append(_row(f"joint cr<->ne symmetric n={n}", jd == swapped, True))
         totals = [0, 0, 0]
         for triple, cnt in jd.items():
             for slot in range(3):
@@ -316,10 +316,9 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
     return rows
 
 
-def first_s3_symmetry_failure(distributions: dict[int, Counter]) -> int:
+def first_s3_symmetry_failure(distributions: dict[int, dict[tuple[int, int, int], int]]) -> int:
     """First n of distributions (n -> joint distribution) that is not S3-symmetric, else 0."""
-    for n, counts in distributions.items():
-        jd = dict(counts)
+    for n, jd in distributions.items():
         for perm in permutations(range(3)):
             permuted: dict[tuple[int, int, int], int] = {}
             for triple, cnt in jd.items():

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from osctab import verify
+from osctab import kernels, verify
 from osctab.homomesy import (
     divisibility_check,
     homomesy_verify,
@@ -20,7 +20,7 @@ from osctab.homomesy import (
     orbit_sum_target_tableaux,
     search_matchings,
 )
-from osctab.matchings import area, joint_distribution
+from osctab.matchings import area
 from osctab.partitions import partitions_up_to
 from osctab.tableaux import average_weight_formula, skew_denominator_scan
 
@@ -90,7 +90,7 @@ def test_criterion_7_distribution_facts():
         for r in verify.suite_stats(nmax=6)
         if any(r.name.startswith(prefix) for prefix in wanted)
     ]
-    distributions = {n: joint_distribution(n) for n in range(2, 7)}
+    distributions = {n: kernels.joint_distribution_counts(n) for n in range(2, 7)}
     assert verify.first_s3_symmetry_failure(distributions) == GOLDENS["s3_symmetry_first_failure_n"]
     run_rows(rows, "7 (distribution facts)", started, 120.0)
 

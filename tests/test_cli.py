@@ -263,6 +263,27 @@ def test_stats_json(capsys):
     assert len(payload["details"]["rows"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stats", "--n", "9"),
+        ("rs", "roundtrip", "--n", "9"),
+        ("verify", "--suite", "rs", "--nmax", "9"),
+        ("verify", "--suite", "stats", "--nmax", "9"),
+        ("verify", "--suite", "all", "--nmax", "9"),
+        ("homomesy", "--target-set", "matchings", "--n", "9"),
+    ],
+    ids=" ".join,
+)
+def test_a_matching_n_past_the_bound_is_refused_before_any_scan(monkeypatch, capsys, argv):
+    def no_pairs(*args):
+        raise AssertionError("a matching was paired before the bound was checked")
+
+    monkeypatch.setattr(matchings, "_pairs", no_pairs)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: n = 9 exceeds the configured bound 8\n")
+
+
 def stats_rows_oracle(n):
     """The stats rows built one matching at a time from the per-matching functions."""
     for m in matchings.enumerate_matchings(n):
@@ -763,7 +784,7 @@ def test_verify_all_bytes_equal_the_golden(capsys):
 
 
 def test_verify_stats_past_the_matching_bound_exits_2(capsys):
-    # n <= 8 are checked first; the scan refuses n = 9 inside the same loop
+    # run_suite refuses n = 9 before any smaller n is scanned
     code, out, err = run_cli(capsys, "verify", "--suite", "stats", "--nmax", "9")
     golden = GOLDENS["verify_stats_nmax_9"]
     assert (code, out, err) == (golden["status"], golden["stdout"], golden["stderr"])

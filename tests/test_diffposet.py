@@ -19,15 +19,20 @@ from osctab.tableaux import weight_profile
 from osctab.util import normal_order_coefficient
 
 
+def formal_sum(value) -> dict:
+    """A formal sum as given, or a bare partition as the sum with coefficient 1."""
+    return {value: 1} if isinstance(value, tuple) else value
+
+
 # U and D read diffposet's cover bindings, so a test that patches one patches the oracle too
 def apply_U(value):
     """Linear extension of: partition -> sum of its one-box growths."""
-    return _apply(diffposet.covers_up, value)
+    return _apply(diffposet.covers_up, formal_sum(value))
 
 
 def apply_D(value):
     """Linear extension of: partition -> sum of its one-box removals."""
-    return _apply(diffposet.covers_down, value)
+    return _apply(diffposet.covers_down, formal_sum(value))
 
 
 def test_apply_u_examples():

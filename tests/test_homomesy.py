@@ -163,6 +163,17 @@ def test_homomesy_verify_examples():
         homomesy_verify(TriplePartition([("x0", "x1", "x2")], 1), items)
 
 
+def test_homomesy_verify_refuses_repeated_identifiers():
+    items = items_of([0, 0, 1]) + [("x0", 1)]
+    with pytest.raises(ValueError, match="item identifiers must be distinct"):
+        homomesy_verify(TriplePartition([("x0", "x1", "x2")], 1), items)
+
+
+def test_homomesy_verify_accepts_the_empty_certificate():
+    # no triples share every sum, whatever the target
+    assert homomesy_verify(TriplePartition([], 5), [])
+
+
 def test_matching_search_n2_unique():
     result = search_matchings(2)
     assert result.found
@@ -305,6 +316,21 @@ def test_conjugation_closed_walks_need_a_self_conjugate_shape(monkeypatch, shape
         search_tableaux(shape, 2, conjugation_closed=True)
     message = str(excinfo.value)
     assert f"{','.join(map(str, shape))} has conjugate {conjugate}" in message
+
+
+@pytest.mark.parametrize("shape, n", [((), 2), ((1,), 1)])
+def test_conjugation_closed_walk_search_on_a_self_conjugate_shape(shape, n):
+    result = search_tableaux(shape, n, conjugation_closed=True)
+    assert result.status == "certificate"
+    assert homomesy_verify(result.partition, tableau_items(shape, n))
+    for triple in result.partition.triples:
+        walks = {parse_tableau(text) for text in triple}
+        assert {conjugate_tableau(walk) for walk in walks} == walks
+
+
+def test_conjugation_closed_walk_search_can_be_infeasible():
+    result = search_tableaux((2, 1), 2, conjugation_closed=True)
+    assert (result.status, result.partition) == ("infeasible", None)
 
 
 def test_search_verifies_before_reporting(monkeypatch):

@@ -1,9 +1,11 @@
 """src/osctab holds only code it runs, and declares no dependencies.
 
 Every import is the standard library or osctab itself, every top-level
-import is used, and every module-level function and class is named by
-other src code.  The exceptions are the bindings perfbench/tracing.py's
-BOUNDARIES wraps, which the benchmark needs to find by name.
+import is used, and every module-level function, class and assignment
+(type aliases and constants) is named by other src code.  The exceptions
+are dunders, the bindings perfbench/tracing.py's BOUNDARIES wraps and the
+names perfbench/*.py reads from osctab, which the benchmark needs to find
+by name.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "osctab"
-TRACING_PY = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+TRACING_PY = PERFBENCH / "tracing.py"
 
 
 def imported_modules(path):
@@ -57,17 +60,50 @@ def pinned_bindings():
     }
 
 
+def perfbench_reads():
+    """(module, name) of each name perfbench/*.py imports from an osctab module or reads
+    as an attribute of one it imports."""
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}  # local name -> osctab module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "osctab":
+                bound.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("osctab."):
+                module = node.module.removeprefix("osctab.")
+                reads.update((module, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in bound:
+                    reads.add((bound[node.value.id], node.attr))
+    return reads
+
+
 def names_read(node):
-    """The identifiers a node's code reads: bare names and attribute names."""
+    """The identifiers a node's code reads: bare names it does not assign, and attribute names."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
 
 
+def defined_names(node):
+    """The names a module-level def, class or plain assignment binds, dunders aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
+        names = [target.id for target in node.targets]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        return []
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def unnamed_definitions(trees, pinned):
-    """module.name of each module-level def or class that no live src code names.
+    """module.name of each module-level def, class or assignment that no live src code names.
 
     Live code is the module-level code outside definitions, the pinned
     bindings, and, to a fixed point, the definitions live code names.
@@ -76,8 +112,9 @@ def unnamed_definitions(trees, pinned):
     live = {attr for _, attr in pinned}
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.setdefault(node.name, []).append((module, node))
+            if names := defined_names(node):
+                for name in names:
+                    definitions.setdefault(name, []).append((module, node))
             else:
                 live.update(names_read(node))
     read: set[str] = set()
@@ -109,7 +146,17 @@ def unused_imports(trees, pinned):
 
 def test_every_definition_is_named_by_src():
     """Code that only tests call lives in the tests."""
-    assert unnamed_definitions(modules(), pinned_bindings()) == []
+    assert unnamed_definitions(modules(), pinned_bindings() | perfbench_reads()) == []
+
+
+def test_an_unread_alias_or_constant_is_reported():
+    trees = modules()
+    unread = "UnreadRows = dict[str, list[ScanRow]]\nUNREAD: int = 1"
+    trees["matchings"].body += ast.parse(unread).body
+    trees["kernels"].body += ast.parse("__unread__ = 1").body  # dunders are exempt
+    pinned = pinned_bindings() | perfbench_reads()
+    assert unnamed_definitions(trees, pinned) == ["matchings.UNREAD", "matchings.UnreadRows"]
+    assert ("kernels", "BACKEND") in perfbench_reads()  # read only by perfbench/run.py
 
 
 def test_every_top_level_import_is_used():

@@ -162,6 +162,11 @@ def test_triple_search_budget():
     assert (status, triples, nodes) == (kernels.STATUS_BUDGET, [], 5)
 
 
+def test_triple_search_refuses_an_item_count_3_does_not_divide():
+    with pytest.raises(ValueError, match="item count must be divisible by 3"):
+        kernels.triple_search([0, 1, 2, 0], 3, 10**6, 60.0, None)
+
+
 def test_triple_search_deep_certificate():
     # 1500 triples deep: the search keeps its own stack instead of recursing
     values = [0, 1, 2] * 1500

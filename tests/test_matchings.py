@@ -23,7 +23,6 @@ from osctab.matchings import (
     enumerate_dyck_words,
     enumerate_matchings,
     format_matching,
-    joint_distribution,
     matching_to_tableau,
     parse_matching,
     partner_array,
@@ -141,8 +140,6 @@ def test_enumerate_bound():
         list(enumerate_matchings(9))
     with pytest.raises(BoundExceededError):
         scan_matchings(9)  # checked on the call, before any batch is asked for
-    with pytest.raises(BoundExceededError):
-        joint_distribution(9)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -166,26 +163,55 @@ def test_scan_batches_one_per_prefix(n):
         assert len(prefixes) == 1
 
 
+def spy_on_tables(monkeypatch) -> list[Counter]:
+    """Per call of matchings._completion_table, how often each free set is asked of its
+    table from outside it (the table's own recursion is not counted)."""
+    asked = []
+    table = matchings._completion_table
+
+    def spy(size):
+        completions = table(size)
+        calls = Counter()
+        asked.append(calls)
+
+        def ask(free):
+            calls[free] += 1
+            return completions(free)
+
+        return ask
+
+    monkeypatch.setattr(matchings, "_completion_table", spy)
+    return asked
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_scan_builds_each_free_set_once(monkeypatch, n):
+    # a free set's completions are built by pairing its smallest element,
+    # so the table's _pairs calls on at most 2 * TAIL_PAIRS elements count its builds
     built = Counter()
-    completions = matchings._completions
+    pairs = matchings._pairs
 
-    def spy(free, size, tails):
-        built[free] += 1
-        return completions(free, size, tails)
+    def spy(free, size):
+        built[tuple(free)] += 1
+        return pairs(free, size)
 
-    monkeypatch.setattr(matchings, "_completions", spy)
+    monkeypatch.setattr(matchings, "_pairs", spy)
+    asked = spy_on_tables(monkeypatch)
     tail_sets = set()
     for m in enumerate_matchings(n):
         used = {x for pair in m[: n - matchings.TAIL_PAIRS] for x in pair}
         tail_sets.add(tuple(x for x in range(1, 2 * n + 1) if x not in used))
-    for _ in range(2):  # the tables live for one call
+    for calls in range(1, 3):  # the tables live for one call
         built.clear()
         for _ in scan_matchings(n):
             pass
-        assert set(built.values()) == {1}
-        assert {free for free in built if len(free) == 2 * matchings.TAIL_PAIRS} == tail_sets
+        assert len(asked) == calls
+        tail_size = 2 * matchings.TAIL_PAIRS
+        tails = {free: count for free, count in built.items() if len(free) <= tail_size}
+        assert set(tails.values()) == {1}
+        assert {free for free in tails if len(free) == tail_size} == tail_sets
+        # every prefix asks for its free set
+        assert sum(asked[-1].values()) == prod(range(2 * n - 1, 2 * matchings.TAIL_PAIRS, -2))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -201,20 +227,14 @@ def test_stats_table_builds_each_template_once(monkeypatch, fmt):
         cr, ne, al = brute_stats(prefix)
         keys.add((free, word, cr + ne, al))
     assert len(keys) == 637
-    built = Counter()
-    template = matchings._template
-
-    def spy(key, *args):
-        built[key] += 1
-        return template(key, *args)
-
-    monkeypatch.setattr(matchings, "_template", spy)
-    for _ in range(2):  # the templates live for one call
-        built.clear()
+    # building a template asks the completion table for its free set once,
+    # and nothing else asks it from outside
+    asked = spy_on_tables(monkeypatch)
+    for calls in range(1, 3):  # the templates live for one call
         for _ in matchings.stats_table(n, fmt):
             pass
-        assert set(built) == keys
-        assert set(built.values()) == {1}
+        assert len(asked) == calls
+        assert asked[-1] == Counter(free for free, *_ in keys)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -442,8 +462,8 @@ def test_conjugation_transfer_swaps_crossings_and_nestings_n2():
 
 
 def test_joint_distribution_examples():
-    jd = joint_distribution(2)
-    assert dict(jd) == {(0, 0, 1): 1, (1, 0, 0): 1, (0, 1, 0): 1}
+    jd = kernels.joint_distribution_counts(2)
+    assert jd == {(0, 0, 1): 1, (1, 0, 0): 1, (0, 1, 0): 1}
 
 
 def test_joint_distribution_matches_direct_count():
@@ -453,12 +473,12 @@ def test_joint_distribution_matches_direct_count():
             s = stats(m)
             key = (s.crossings, s.nestings, s.alignments)
             direct[key] = direct.get(key, 0) + 1
-        assert dict(joint_distribution(n)) == direct
+        assert kernels.joint_distribution_counts(n) == direct
 
 
 def test_joint_distribution_cr_ne_symmetry():
     for n in range(2, 6):
-        jd = dict(joint_distribution(n))
+        jd = kernels.joint_distribution_counts(n)
         assert jd == {(ne, cr, al): c for (cr, ne, al), c in jd.items()}
 
 
@@ -467,7 +487,7 @@ def test_each_statistic_has_equal_total():
     # account for a third of all C(n,2) * (2n-1)!! pair relations
     for n in range(2, 7):
         totals = [0, 0, 0]
-        for triple, cnt in joint_distribution(n).items():
+        for triple, cnt in kernels.joint_distribution_counts(n).items():
             for slot in range(3):
                 totals[slot] += triple[slot] * cnt
         expected = comb(n, 2) * prod(range(1, 2 * n, 2)) // 3

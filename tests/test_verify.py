@@ -83,7 +83,7 @@ def test_the_skew_suite_scans_once(monkeypatch):
 
 
 def test_the_stats_suite_builds_each_joint_distribution_once(monkeypatch):
-    calls = spy_on(monkeypatch, matchings, "joint_distribution")
+    calls = spy_on(monkeypatch, kernels, "joint_distribution_counts")
     assert all(row.passed for row in verify.suite_stats(6))
     assert calls == [(n,) for n in range(2, 7)]
 
