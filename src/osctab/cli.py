@@ -328,10 +328,10 @@ def cmd_rs_roundtrip(args) -> RunReport:
 
 
 def cmd_stats(args) -> RunReport | Iterable[str]:
-    from . import matchings
+    from . import table
 
     # both formats stream: n = 8 means two million rows
-    rows = matchings.stats_table(args.n, args.format)
+    rows = table.stats_table(args.n, args.format)
     if args.format == "csv":
         return chain(["matching,cr,ne,al,dyck,area,wt\n"], rows)
     return RunReport("stats", {"n": args.n}, "pass", {"rows": Streamed(rows)})
@@ -377,9 +377,9 @@ def cmd_homomesy(args) -> RunReport:
 
 
 def cmd_skew_scan(args) -> RunReport:
-    from . import tableaux
+    from . import skew
 
-    report_data = tableaux.skew_denominator_scan(args.max_mu, args.max_shape, args.max_length)
+    report_data = skew.skew_denominator_scan(args.max_mu, args.max_shape, args.max_length)
 
     def case_json(case):
         if case is None:

@@ -12,8 +12,9 @@ kernel names each outcome as reports print it (kernels.STATUS_*), and
 the result carries that name unchanged.  A certificate is reported
 only after homomesy_verify accepts it.  The search works on item
 positions; item texts are formatted only to build the items, and a
-conjugation-closed search takes each item's mate from the enumerated
-objects.
+conjugation-closed search takes each walk's mate from the enumerated
+walks and each matching's from its insertion cells
+(matchings.conjugate_mates).
 """
 
 import time
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from . import kernels
 from .errors import CoverageError, NotDivisibleByThreeError, ShapeMismatchError
 from .matchings import (
-    conjugate_matching,
+    conjugate_mates,
     conjugate_tableau,
     enumerate_matchings,
     format_matching,
@@ -227,6 +228,6 @@ def search_matchings(
     _check_triples(items, "matchings")
     mate = None
     if conjugation_closed:
-        mate = conjugate_positions(enumerate_matchings(n), conjugate_matching)
+        mate = conjugate_mates(enumerate_matchings(n))
     target = orbit_sum_target_matchings(n)
     return triple_partition_search(items, target, node_budget, time_budget, mate)

@@ -6,12 +6,14 @@ empty partition are enumerated exactly, and their count and average
 weight are compared against closed forms.  Walks with a nonempty start
 are the skew variant.  walk_count counts any walk set, the cap refusals'
 included, from the normal-ordered (U + D)^l and skew tableau counts; the
-skew scan reads counts and average weights the same way, and `gf` lives
-in diffposet.  The walk DP in kernels and the enumeration are oracles.
+skew scan in skew reads counts and average weights the same way, and
+`gf` lives in diffposet.  The walk DP in kernels and the enumeration are
+oracles.  Fraction is imported by the functions that build one, so the
+commands that only count, walk or format (`count`, `enumerate`, `rs`, a
+matching `homomesy`) never load fractions.
 """
 
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchError
 from .partitions import (
@@ -24,11 +26,13 @@ from .partitions import (
     format_partition,
     num_syt,
     parse_partition,
-    partitions_up_to,
     size,
     skew_syt_counts,
 )
 from .util import max_enumeration_size, normal_order_coefficient
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def is_oscillating_tableau(steps: Sequence[Partition]) -> bool:
@@ -186,12 +190,14 @@ def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]
     return kernels.ot_weight_profile(tuple(start), tuple(shape), length)
 
 
-def average_weight_formula(k: int, n: int) -> Fraction:
+def average_weight_formula(k: int, n: int) -> "Fraction":
     """Closed-form average weight: (4n^2 + 3k^2 + 8kn + 2n + 3k) / 6."""
+    from fractions import Fraction
+
     return Fraction(4 * n * n + 3 * k * k + 8 * k * n + 2 * n + 3 * k, 6)
 
 
-def average_size_formula(k: int, n: int) -> Fraction:
+def average_size_formula(k: int, n: int) -> "Fraction":
     """Average partition size along the walk: the average weight over 2n+k+1 steps."""
     return average_weight_formula(k, n) / (2 * n + k + 1)
 
@@ -215,12 +221,14 @@ def walk_totals(
 
 def average_weight_enumerated(
     start: Partition, shape: Partition, length: int
-) -> Fraction:
+) -> "Fraction":
     """Exact average weight over every enumerated walk (walk_totals).
 
     Raises EmptyEnumerationError when no walk exists (parity or size
     mismatch between the endpoints and the length).
     """
+    from fractions import Fraction
+
     count, total = walk_totals(start, (shape,), length)[shape]
     if count == 0:
         raise EmptyEnumerationError(
@@ -255,83 +263,3 @@ def walk_count(start: Partition, shape: Partition, length: int) -> int:
         return normal_order_coefficient(d, 0, length) * num_syt(shape)
     g_terms = overlaps(skew_syt_counts(start), skew_syt_counts(shape))
     return sum(normal_order_coefficient(j + d, j, length) * g_j for j, g_j in g_terms)
-
-
-class ScanCase(NamedTuple):
-    """One nonempty cell of the skew-average scan."""
-
-    start: Partition
-    shape: Partition
-    length: int
-    count: int
-    average: Fraction
-
-    @property
-    def denominator(self) -> int:
-        return self.average.denominator
-
-
-class ScanReport(NamedTuple):
-    """A scan's cases in scan order; never empty, as every scan holds () -> () at length 0."""
-
-    records: list[ScanCase]
-
-    @property
-    def cases(self) -> int:
-        return len(self.records)
-
-    @property
-    def max_denominator_case(self) -> ScanCase:
-        """The first case with the largest reduced denominator."""
-        return max(self.records, key=lambda case: case.denominator)
-
-    @property
-    def max_denominator(self) -> int:
-        return self.max_denominator_case.denominator
-
-    @property
-    def witness_exceeding_3(self) -> Optional[ScanCase]:
-        """The first case whose denominator exceeds 3, if any."""
-        return next((case for case in self.records if case.denominator > 3), None)
-
-    @property
-    def all_denominators_divide_3(self) -> bool:
-        return all(case.denominator in (1, 3) for case in self.records)
-
-
-def skew_denominator_scan(max_start_size: int, max_shape_size: int, max_length: int) -> ScanReport:
-    """Reduced denominators of the average weight over a grid of skew walks.
-
-    Covers every (start, shape, length) with the given size and length
-    bounds whose walk set is nonempty, visited start, then shape, then
-    length.  Normal-ordering (U + D)^l by DU - UD = I gives, for walks
-    from mu to lambda with d = |lambda| - |mu|,
-
-        count   = sum_j b(j + d, j, l) g_j,
-        average = (l + 1) (|mu| + (l + 2d)/6 - E[j]/3),
-
-    where b is util.normal_order_coefficient, g is overlaps' and E[j]
-    is the mean of j under the count's terms.  No walk is visited: g
-    comes from the two partitions' skew_syt_counts once per pair, and
-    every length reads it.
-    """
-    records = []
-    shapes = list(partitions_up_to(max_shape_size))
-    largest = max(max_start_size, max_shape_size)
-    skew_counts = {p: skew_syt_counts(p) for p in partitions_up_to(largest)}
-    for start in partitions_up_to(max_start_size):
-        mu = size(start)
-        for shape in shapes:
-            d = size(shape) - mu
-            g_terms = overlaps(skew_counts[start], skew_counts[shape])
-            # each step changes the size by one, so only lengths of d's parity have walks
-            for length in range(d % 2, max_length + 1, 2):
-                terms = [(j, normal_order_coefficient(j + d, j, length) * g_j) for j, g_j in g_terms]
-                count = sum(term for _, term in terms)
-                if not count:
-                    continue
-                lowered = sum(j * term for j, term in terms)  # count * E[j]
-                sixfold_total = (length + 1) * ((6 * mu + length + 2 * d) * count - 2 * lowered)
-                average = Fraction(sixfold_total, 6 * count)
-                records.append(ScanCase(start, shape, length, count, average))
-    return ScanReport(records)

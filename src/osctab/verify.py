@@ -11,7 +11,7 @@ from itertools import chain, permutations
 from math import comb
 from typing import NamedTuple
 
-from . import diffposet, kernels, matchings, tableaux, util
+from . import diffposet, kernels, matchings, skew, table, tableaux, util
 from .errors import OsctabError
 from .homomesy import (
     divisibility_check,
@@ -187,8 +187,8 @@ def suite_rs(nmax: int = 5) -> list[CheckRow]:
     matchings.tableau_to_matching reads (_walk_steps, then _unwalk) also
     give the image's word, and the inverse round trip reuses the result.
     The matching's own word and alignments are read from the row of
-    matchings.scan_matchings that comes beside it, as the scan yields
-    its rows in enumerate_matchings order.
+    table.scan_matchings that comes beside it, as the scan yields its
+    rows in enumerate_matchings order.
     """
     rows = []
     for n in range(1, nmax + 1):
@@ -198,7 +198,7 @@ def suite_rs(nmax: int = 5) -> list[CheckRow]:
         dyck_ok = True
         weight_ok = True
         count = 0
-        scan = chain.from_iterable(matchings.scan_matchings(n))
+        scan = chain.from_iterable(table.scan_matchings(n))
         for m, (_, _, _, al, m_word) in zip(matchings.enumerate_matchings(n), scan, strict=True):
             count += 1
             t = matchings.matching_to_tableau(m)
@@ -234,8 +234,8 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
     """Pairwise statistics, area identities, and distribution facts.
 
     The per-matching (cr, ne, al) and Dyck word come from
-    matchings.scan_matchings, which reads the prefix walk that `stats`
-    prints from; the identities hold them against the area and heights
+    table.scan_matchings, which reads the prefix walk that `stats` prints
+    from; the identities hold them against the area and heights
     counted from the word alone.
     tests/test_matchings.py::test_scan_rows_equal_enumerated_stats holds
     the scan equal to the per-matching classifier (kernels.matching_stats,
@@ -258,7 +258,7 @@ def suite_stats(nmax: int = 6) -> list[CheckRow]:
         prefix_ok = True
         align_total = 0
         count = 0
-        for _, cr, ne, al, word in chain.from_iterable(matchings.scan_matchings(n)):
+        for _, cr, ne, al, word in chain.from_iterable(table.scan_matchings(n)):
             count += 1
             word_area, a_sum = word_sums(word)
             if cr + ne + al != comb(n, 2):
@@ -379,8 +379,8 @@ def suite_homomesy() -> list[CheckRow]:
     return rows
 
 
-def walk_dp_scan(max_start_size: int, max_shape_size: int, max_length: int) -> tableaux.ScanReport:
-    """tableaux.skew_denominator_scan's cases, from the walk DP instead of its closed form.
+def walk_dp_scan(max_start_size: int, max_shape_size: int, max_length: int) -> skew.ScanReport:
+    """skew.skew_denominator_scan's cases, from the walk DP instead of its closed form.
 
     One kernels.ot_weight_profiles call yields the weight profiles of
     every start, shape and length; cases are visited start, then shape,
@@ -399,9 +399,9 @@ def walk_dp_scan(max_start_size: int, max_shape_size: int, max_length: int) -> t
                 count = sum(profile)
                 total = sum(w * c for w, c in enumerate(profile))
                 records.append(
-                    tableaux.ScanCase(start, shape, length, count, Fraction(total, count))
+                    skew.ScanCase(start, shape, length, count, Fraction(total, count))
                 )
-    return tableaux.ScanReport(records)
+    return skew.ScanReport(records)
 
 
 def suite_skew() -> list[CheckRow]:
@@ -411,8 +411,8 @@ def suite_skew() -> list[CheckRow]:
     code with the closed form `skew-scan` runs.
     """
     rows = []
-    skew = walk_dp_scan(3, 4, 8)
-    plain = tableaux.ScanReport([case for case in skew.records if not case.start])
+    scan = walk_dp_scan(3, 4, 8)
+    plain = skew.ScanReport([case for case in scan.records if not case.start])
     rows.append(
         CheckRow(
             "scan start=- |shape|<=4 l<=8: denominators divide 3",
@@ -421,12 +421,12 @@ def suite_skew() -> list[CheckRow]:
             "1 or 3",
         )
     )
-    witness = skew.witness_exceeding_3
+    witness = scan.witness_exceeding_3
     rows.append(
         CheckRow(
             "scan |start|<=3 |shape|<=4 l<=8 finds denominator > 3",
             witness is not None,
-            f"max denominator {skew.max_denominator}",
+            f"max denominator {scan.max_denominator}",
             "> 3 witness recorded",
         )
     )

@@ -22,7 +22,8 @@ from osctab.homomesy import (
 )
 from osctab.matchings import area
 from osctab.partitions import partitions_up_to
-from osctab.tableaux import average_weight_formula, skew_denominator_scan
+from osctab.skew import skew_denominator_scan
+from osctab.tableaux import average_weight_formula
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "goldens.json").read_text())
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from osctab import diffposet, kernels, matchings, tableaux
+from osctab import diffposet, kernels, matchings, table, tableaux
 from osctab.cli import build_parser, main
 from osctab.partitions import format_partition, parse_partition
 from osctab.tableaux import enumerate_ot
@@ -279,7 +279,7 @@ def test_a_matching_n_past_the_bound_is_refused_before_any_scan(monkeypatch, cap
     def no_pairs(*args):
         raise AssertionError("a matching was paired before the bound was checked")
 
-    monkeypatch.setattr(matchings, "_pairs", no_pairs)
+    monkeypatch.setattr(table, "_pairs", no_pairs)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: n = 9 exceeds the configured bound 8\n")
 
@@ -907,7 +907,10 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
     assert (out, err) == (GOLDENS["help_columns_80"][command], "")
 
 
-ENGINES = ("tableaux", "kernels", "laurent", "matchings", "homomesy", "diffposet", "verify")
+ENGINES = (
+    "tableaux", "skew", "kernels", "laurent", "matchings", "table", "homomesy", "diffposet", "verify",
+)
+RATIONALS = ("fractions", "decimal")
 
 
 def loaded_modules(argv):
@@ -927,28 +930,41 @@ def loaded_modules(argv):
     return set(done.stdout.splitlines()[-1].split())
 
 
+def module_names(names):
+    """The sys.modules keys of names: osctab's modules by their short names, the
+    standard library's as they are."""
+    return {name if name in sys.stdlib_module_names else f"osctab.{name}" for name in names}
+
+
 @pytest.mark.parametrize(
     "argv, loaded, absent",
     [
         ((), (), ENGINES),
         (("skew-scan", "--max-mu", "1", "--max-shape", "2", "--max-length", "3"),
-         ("tableaux",), ("verify", "diffposet", "homomesy", "matchings", "laurent", "kernels")),
-        (("count", "--shape", "2,1", "--n", "1"), ("tableaux",), ("kernels",)),
-        (("enumerate", "--shape", "1", "--length", "3"), ("tableaux",), ("kernels",)),
-        (("avg-weight", "--shape", "1", "--n", "1"), ("tableaux",), ("kernels",)),
+         ("skew", "tableaux"),
+         ("verify", "diffposet", "homomesy", "matchings", "table", "laurent", "kernels")),
+        (("count", "--shape", "2,1", "--n", "1"), ("tableaux",),
+         ("kernels", "skew", "table", *RATIONALS)),
+        (("enumerate", "--shape", "1", "--length", "3"), ("tableaux",),
+         ("kernels", "skew", "table", *RATIONALS)),
+        (("avg-weight", "--shape", "1", "--n", "1"), ("tableaux",), ("kernels", "skew", "table")),
         (("gf", "--shape", "2,1", "--length", "5"),
-         ("diffposet",), ("tableaux", "kernels", "matchings", "homomesy", "verify")),
-        (("stats", "--n", "2"), ("matchings",),
-         ("verify", "diffposet", "tableaux", "laurent", "kernels")),
-        (("homomesy", "--target-set", "matchings", "--n", "2"), ("homomesy",), ("verify", "diffposet")),
+         ("diffposet",), ("tableaux", "skew", "kernels", "matchings", "table", "homomesy", "verify")),
+        (("stats", "--n", "2"), ("matchings", "table"),
+         ("verify", "diffposet", "tableaux", "skew", "laurent", "kernels")),
+        (("homomesy", "--target-set", "matchings", "--n", "2"), ("homomesy",),
+         ("verify", "diffposet", "table", "skew", *RATIONALS)),
         (("verify", "--suite", "skew"), ENGINES, ()),
-        (("rs", "forward", "--matching", "1-4,2-3"), ("matchings", "tableaux"), ("kernels",)),
+        (("rs", "forward", "--matching", "1-4,2-3"), ("matchings", "tableaux"),
+         ("kernels", "table", "skew", *RATIONALS)),
+        (("rs", "inverse", "--tableau=-|1|2|1|-"), ("matchings", "tableaux"),
+         ("kernels", "table", "skew", *RATIONALS)),
     ],
 )
 def test_a_command_imports_only_what_it_runs(argv, loaded, absent):
     modules = loaded_modules(argv)
-    assert {f"osctab.{name}" for name in ("cli", *loaded)} <= modules
-    assert not {f"osctab.{name}" for name in absent} & modules
+    assert module_names(("cli", *loaded)) <= modules
+    assert not module_names(absent) & modules
     assert "dataclasses" not in modules
 
 

@@ -20,11 +20,13 @@ from osctab.homomesy import (
     triple_partition_search,
 )
 from osctab.matchings import (
-    conjugate_matching,
+    conjugate_mates,
     conjugate_tableau,
     enumerate_matchings,
     format_matching,
+    matching_to_tableau,
     parse_matching,
+    tableau_to_matching,
 )
 from osctab.partitions import partitions_up_to, size
 from osctab.tableaux import enumerate_ot, format_tableau, parse_tableau
@@ -265,12 +267,17 @@ def fixed_points(mate):
     return [i for i, j in enumerate(mate) if i == j]
 
 
+def conjugate_through_the_walk(matching):
+    """The matching whose walk is the matching's walk conjugated step by step."""
+    return tableau_to_matching(conjugate_tableau(matching_to_tableau(matching)))
+
+
 def test_matching_mates_equal_the_text_round_trip():
     for n in range(1, 7):
-        mate = conjugate_positions(enumerate_matchings(n), conjugate_matching)
+        mate = conjugate_mates(enumerate_matchings(n))
         items = matching_items(n)
         assert mate == text_round_trip_mates(
-            items, parse_matching, conjugate_matching, format_matching
+            items, parse_matching, conjugate_through_the_walk, format_matching
         )
         assert all(mate[j] == i for i, j in enumerate(mate))
         # the only self-conjugate matching is 1-2,3-4,...

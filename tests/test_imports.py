@@ -152,10 +152,10 @@ def test_every_definition_is_named_by_src():
 def test_an_unread_alias_or_constant_is_reported():
     trees = modules()
     unread = "UnreadRows = dict[str, list[ScanRow]]\nUNREAD: int = 1"
-    trees["matchings"].body += ast.parse(unread).body
+    trees["table"].body += ast.parse(unread).body
     trees["kernels"].body += ast.parse("__unread__ = 1").body  # dunders are exempt
     pinned = pinned_bindings() | perfbench_reads()
-    assert unnamed_definitions(trees, pinned) == ["matchings.UNREAD", "matchings.UnreadRows"]
+    assert unnamed_definitions(trees, pinned) == ["table.UNREAD", "table.UnreadRows"]
     assert ("kernels", "BACKEND") in perfbench_reads()  # read only by perfbench/run.py
 
 

@@ -6,7 +6,7 @@ from typing import Sequence
 import pytest
 from hypothesis import given, strategies as st
 
-from osctab import kernels, matchings
+from osctab import kernels, matchings, table
 from osctab.errors import (
     BoundExceededError,
     InvalidDyckWordError,
@@ -17,7 +17,7 @@ from osctab.matchings import (
     PerfectMatching,
     area,
     as_matching,
-    conjugate_matching,
+    conjugate_mates,
     conjugate_tableau,
     dyck_of_matching,
     enumerate_dyck_words,
@@ -27,12 +27,12 @@ from osctab.matchings import (
     parse_matching,
     partner_array,
     prefix_stats,
-    scan_matchings,
     stats,
     tableau_to_matching,
     weight_of_alignments,
 )
 from osctab.partitions import OscillatingTableau
+from osctab.table import scan_matchings
 from osctab.tableaux import enumerate_ot, weight
 
 
@@ -96,6 +96,42 @@ def brute_stats(matching):
     return cr, ne, al
 
 
+def conjugate_matching(matching: PerfectMatching) -> PerfectMatching:
+    """Stepwise conjugation transported through the insertion bijection, one matching at a time.
+
+    The conjugate walk adds or removes at (column, row) each box the
+    walk adds or removes at (row, column), so the inverse insertion run
+    on the columns gives the image without building either walk.
+    """
+    return matchings._unwalk([(col, sign) for _, col, sign in matchings._insertion_cells(matching)])
+
+
+def largest_family(matching: PerfectMatching, related) -> int:
+    """The most arcs of the matching that are pairwise related, found by growing every such set.
+
+    related(p, q) is asked only for p before q in the canonical order.
+    """
+    families: list[tuple] = [()]
+    while True:
+        grown = [
+            family + (arc,)
+            for family in families
+            for arc in matching
+            if (not family or arc > family[-1]) and all(related(p, arc) for p in family)
+        ]
+        if not grown:
+            return len(families[0])
+        families = grown
+
+
+def crosses(p, q) -> bool:
+    return p[0] < q[0] < p[1] < q[1]
+
+
+def nests(p, q) -> bool:
+    return p[0] < q[0] < q[1] < p[1]
+
+
 def test_parse_and_format():
     m = parse_matching("1-4,2-3")
     assert m == ((1, 4), (2, 3))
@@ -154,23 +190,23 @@ def test_scan_rows_equal_enumerated_stats(n):
 @pytest.mark.parametrize("n", range(7))
 def test_scan_batches_one_per_prefix(n):
     batches = list(scan_matchings(n))
-    if n <= matchings.TAIL_PAIRS:
+    if n <= table.TAIL_PAIRS:
         assert len(batches) == 1
         return
     assert {len(batch) for batch in batches} == {15}
     for batch in batches:
-        prefixes = {text.rsplit(";", matchings.TAIL_PAIRS)[0] for text, *_ in batch}
+        prefixes = {text.rsplit(";", table.TAIL_PAIRS)[0] for text, *_ in batch}
         assert len(prefixes) == 1
 
 
 def spy_on_tables(monkeypatch) -> list[Counter]:
-    """Per call of matchings._completion_table, how often each free set is asked of its
+    """Per call of table._completion_table, how often each free set is asked of its
     table from outside it (the table's own recursion is not counted)."""
     asked = []
-    table = matchings._completion_table
+    build = table._completion_table
 
     def spy(size):
-        completions = table(size)
+        completions = build(size)
         calls = Counter()
         asked.append(calls)
 
@@ -180,7 +216,7 @@ def spy_on_tables(monkeypatch) -> list[Counter]:
 
         return ask
 
-    monkeypatch.setattr(matchings, "_completion_table", spy)
+    monkeypatch.setattr(table, "_completion_table", spy)
     return asked
 
 
@@ -189,29 +225,29 @@ def test_scan_builds_each_free_set_once(monkeypatch, n):
     # a free set's completions are built by pairing its smallest element,
     # so the table's _pairs calls on at most 2 * TAIL_PAIRS elements count its builds
     built = Counter()
-    pairs = matchings._pairs
+    pairs = table._pairs
 
     def spy(free, size):
         built[tuple(free)] += 1
         return pairs(free, size)
 
-    monkeypatch.setattr(matchings, "_pairs", spy)
+    monkeypatch.setattr(table, "_pairs", spy)
     asked = spy_on_tables(monkeypatch)
     tail_sets = set()
     for m in enumerate_matchings(n):
-        used = {x for pair in m[: n - matchings.TAIL_PAIRS] for x in pair}
+        used = {x for pair in m[: n - table.TAIL_PAIRS] for x in pair}
         tail_sets.add(tuple(x for x in range(1, 2 * n + 1) if x not in used))
     for calls in range(1, 3):  # the tables live for one call
         built.clear()
         for _ in scan_matchings(n):
             pass
         assert len(asked) == calls
-        tail_size = 2 * matchings.TAIL_PAIRS
+        tail_size = 2 * table.TAIL_PAIRS
         tails = {free: count for free, count in built.items() if len(free) <= tail_size}
         assert set(tails.values()) == {1}
         assert {free for free in tails if len(free) == tail_size} == tail_sets
         # every prefix asks for its free set
-        assert sum(asked[-1].values()) == prod(range(2 * n - 1, 2 * matchings.TAIL_PAIRS, -2))
+        assert sum(asked[-1].values()) == prod(range(2 * n - 1, 2 * table.TAIL_PAIRS, -2))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -219,7 +255,7 @@ def test_stats_table_builds_each_template_once(monkeypatch, fmt):
     n = 7
     keys = set()
     for m in enumerate_matchings(n):
-        prefix = m[: n - matchings.TAIL_PAIRS]
+        prefix = m[: n - table.TAIL_PAIRS]
         used = {x for pair in prefix for x in pair}
         free = tuple(x for x in range(1, 2 * n + 1) if x not in used)
         openers = {a for a, _ in prefix}
@@ -231,7 +267,7 @@ def test_stats_table_builds_each_template_once(monkeypatch, fmt):
     # and nothing else asks it from outside
     asked = spy_on_tables(monkeypatch)
     for calls in range(1, 3):  # the templates live for one call
-        for _ in matchings.stats_table(n, fmt):
+        for _ in table.stats_table(n, fmt):
             pass
         assert len(asked) == calls
         assert asked[-1] == Counter(free for free, *_ in keys)
@@ -241,7 +277,7 @@ def test_stats_table_builds_each_template_once(monkeypatch, fmt):
 def test_a_prefix_word_fixes_its_cr_plus_ne_and_al(n):
     # what keeps the templates as few as the (free set, word) pairs
     seen = {}
-    for _, (free, word, cr, ne, al) in matchings._prefixes(2 * n):
+    for _, (free, word, cr, ne, al) in table._prefixes(2 * n):
         assert seen.setdefault((free, word), (cr + ne, al)) == (cr + ne, al)
 
 
@@ -394,6 +430,29 @@ def test_conjugate_matching_involution():
             assert image == tableau_to_matching(conjugate_tableau(matching_to_tableau(m)))
             assert conjugate_matching(image) == m
 
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_conjugate_mates_equal_the_oracle(n):
+    ms = list(enumerate_matchings(n))
+    position = {m: i for i, m in enumerate(ms)}
+    mate = conjugate_mates(ms)
+    assert mate == [position[conjugate_matching(m)] for m in ms]
+    assert all(mate[j] == i for i, j in enumerate(mate))
+    # the only self-conjugate matching is 1-2,3-4,...
+    fixed = [ms[i] for i, j in enumerate(mate) if i == j]
+    assert fixed == [tuple((2 * k + 1, 2 * k + 2) for k in range(n))]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_a_mate_swaps_the_largest_crossing_and_the_largest_nesting(n):
+    # Chen, Deng, Du, Stanley and Yan (2007): the largest crossing is the most
+    # rows the walk reaches and the largest nesting the most columns, which
+    # conjugating the walk swaps
+    ms = list(enumerate_matchings(n))
+    largest = [(largest_family(m, crosses), largest_family(m, nests)) for m in ms]
+    for i, j in enumerate(conjugate_mates(ms)):
+        assert largest[j] == largest[i][::-1]
 
 @pytest.mark.parametrize(
     "walk, message",

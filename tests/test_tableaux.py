@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osctab import kernels, tableaux, verify
+from osctab import kernels, skew, tableaux, verify
 from osctab.diffposet import weight_generating_function
 from osctab.cli import main
 from osctab.errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchError
@@ -22,9 +22,8 @@ from osctab.partitions import (
     partitions_up_to,
     size,
 )
+from osctab.skew import ScanCase, ScanReport, skew_denominator_scan
 from osctab.tableaux import (
-    ScanCase,
-    ScanReport,
     average_size_formula,
     average_weight_enumerated,
     average_weight_formula,
@@ -33,7 +32,6 @@ from osctab.tableaux import (
     is_oscillating_tableau,
     parse_tableau,
     refuse_over_cap,
-    skew_denominator_scan,
     walk_count,
     walk_totals,
     weight,
@@ -487,7 +485,7 @@ def test_scan_command_bytes_equal_the_per_cell_oracle(capsys, monkeypatch):
         with monkeypatch.context() as patched:
             assert main(argv) == 0
             out = capsys.readouterr().out
-            patched.setattr(tableaux, "skew_denominator_scan", per_cell_scan)
+            patched.setattr(skew, "skew_denominator_scan", per_cell_scan)
             assert main(argv) == 0
             assert out == capsys.readouterr().out
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from osctab import diffposet, kernels, matchings, tableaux, verify
+from osctab import diffposet, kernels, matchings, skew, table, tableaux, verify
 from osctab.errors import BoundExceededError
 from osctab.partitions import partitions_up_to, size
 
@@ -72,7 +72,7 @@ def spy_on(monkeypatch, module, name) -> list:
 
 def test_the_skew_suite_scans_once(monkeypatch):
     scans = spy_on(monkeypatch, verify, "walk_dp_scan")
-    closed_form_scans = spy_on(monkeypatch, tableaux, "skew_denominator_scan")
+    closed_form_scans = spy_on(monkeypatch, skew, "skew_denominator_scan")
     passes = spy_on(monkeypatch, kernels, "ot_weight_profiles")
     assert all(row.passed for row in verify.suite_skew())
     assert scans == [(3, 4, 8)]
@@ -107,7 +107,7 @@ def test_the_diffposet_suite_checks_the_commutator_by_straightening(monkeypatch)
 
 @pytest.mark.parametrize("suite", ["rs", "stats", "all"])
 def test_an_nmax_past_the_matching_bound_is_refused_before_any_scan(monkeypatch, suite):
-    scans = spy_on(monkeypatch, matchings, "scan_matchings")
+    scans = spy_on(monkeypatch, table, "scan_matchings")
     enumerations = spy_on(monkeypatch, matchings, "enumerate_matchings")
     nmax = matchings.MAX_MATCHING_N + 1
     with pytest.raises(BoundExceededError, match=f"^n = {nmax} exceeds the configured bound 8$"):
@@ -132,7 +132,7 @@ def test_the_rs_suite_maps_each_matching_once(monkeypatch):
 
 
 def test_the_rs_suite_reads_the_matching_scan(monkeypatch):
-    scans = spy_on(monkeypatch, matchings, "scan_matchings")
+    scans = spy_on(monkeypatch, table, "scan_matchings")
     classified = spy_on(monkeypatch, matchings, "stats")
     words = spy_on(monkeypatch, matchings, "dyck_of_matching")
     assert all(row.passed for row in verify.suite_rs(5))
@@ -144,7 +144,7 @@ def test_the_rs_suite_reads_the_matching_scan(monkeypatch):
     "slot, extra, check", [(3, 1, "rs weight formula"), (4, "0", "rs word preserved")]
 )
 def test_the_rs_suite_fails_where_one_scan_row_is_wrong(monkeypatch, slot, extra, check):
-    real = matchings.scan_matchings
+    real = table.scan_matchings
 
     def scan(n):
         for batch in real(n):
@@ -154,7 +154,7 @@ def test_the_rs_suite_fails_where_one_scan_row_is_wrong(monkeypatch, slot, extra
                 batch = [tuple(row), *batch[1:]]
             yield batch
 
-    monkeypatch.setattr(matchings, "scan_matchings", scan)
+    monkeypatch.setattr(table, "scan_matchings", scan)
     rows = verify.suite_rs(3)
     assert all(rs_rows(rows, 2).values())
     assert [name for name, passed in rs_rows(rows, 3).items() if not passed] == [check]
