@@ -145,7 +145,7 @@ def cmd_count(args) -> RunReport:
     details: dict[str, Any] = {"formula": str(formula)}
     outcome = "pass"
     if formula <= max_enumeration_size() and not args.skip_enumeration:
-        enumerated = tableaux.walk_totals((), (shape,), size(shape) + 2 * args.n)[shape][0]
+        enumerated = tableaux.walk_totals((), shape, size(shape) + 2 * args.n)[0]
         details["enumerated"] = str(enumerated)
         details["equal"] = enumerated == formula
         outcome = "pass" if enumerated == formula else "fail"

@@ -6,7 +6,8 @@ instead of visiting every walk or matching, so their cost grows with the
 number of states rather than with the number of objects counted.  The
 tests hold them to enumeration (tableaux.enumerate_ot, classifying each
 matching).  The walk DP is the oracle for the normal-ordering law behind
-every product walk count and `gf`: only `verify` and the tests run it.
+every product walk count and `gf`: only `verify` (its count, weight,
+diffposet and skew batteries) and the tests run it.
 The triple search works on value counts, held to a brute-force search.
 
 Kernel contract

@@ -1,10 +1,11 @@
 """Walks in the partition lattice and their weight statistic.
 
 A walk of length l is a tuple of l+1 partitions in which consecutive
-entries differ by one box in either direction.  Walks starting at the
-empty partition are enumerated exactly, and their count and average
-weight are compared against closed forms.  Walks with a nonempty start
-are the skew variant.  walk_count counts any walk set, the cap refusals'
+entries differ by one box in either direction.  Walks to one end shape
+are enumerated exactly (enumerate_ot, walk_totals) for the commands that
+list or check them; `verify`'s count and weight batteries read the walk
+DP in kernels instead.  Walks with a nonempty start are the skew
+variant.  walk_count counts any walk set, the cap refusals'
 included, from the normal-ordered (U + D)^l and skew tableau counts; the
 skew scan in skew reads counts and average weights the same way, and
 `gf` lives in diffposet.  The walk DP in kernels and the enumeration are
@@ -80,82 +81,60 @@ def refuse_over_cap(start: Partition, shape: Partition, length: int) -> int:
 
 
 def _walks(
-    start: Partition, shapes: Sequence[Partition], length: int
-) -> Iterator[tuple[list[Partition], Partition, int]]:
-    """Yield (path, shape, weight) for each walk from start to one of shapes, depth-first.
+    start: Partition, shape: Partition, length: int
+) -> Iterator[tuple[list[Partition], int]]:
+    """Yield (path, weight) for each walk from start to shape, depth-first.
 
-    The one walk DFS; enumerate_ot and walk_totals read it.  One pass
-    serves every shape of one length.  A shape that the parity or reach
-    of its distance from start rules out is dropped first; a move is
-    taken when its box distance to the nearest shape fits the steps
-    left, and each prefix one step short credits every shape next to
-    it, in shapes' order, so the last step is never searched.  `path` is
-    a live list of the walk's first `length` entries and `weight` is the
-    sum of their sizes, sum(shape) left out (the length-0 walk yields
-    ([], start, 0)).  Growths come before removals, largest part and top
-    row first.  Each distinct partition's moves are listed once per
-    pass, with their nearest-shape distance, the shapes next to them and
-    their size.  The OSCTAB_MAX_ENUM cap lives here, per shape: more
-    than util.max_enumeration_size() walks to one shape raise
-    BoundExceededError.
+    The one walk DFS; enumerate_ot and walk_totals read it.  `path` is a
+    live list of the walk's first `length` entries and `weight`, the sum
+    of the sizes of all its entries, includes sum(shape); the length-0
+    walk yields ([], sum(start)).  Growths come before removals, largest
+    part and top row first.  Parity and reach are checked once (a
+    mismatch yields nothing), then a move is taken when its distance to
+    shape fits the steps left.  Each distinct partition's moves are
+    listed once, with their distance to shape and size; a prefix two
+    steps short reads each last move next to shape straight from that
+    table, so the forced step onto shape is never searched.  The
+    OSCTAB_MAX_ENUM cap lives here: more than util.max_enumeration_size()
+    walks raise BoundExceededError.
     """
     cap = max_enumeration_size()
-    shapes = [
-        shape
-        for shape in dict.fromkeys(shapes)
-        if (distance := cover_distance(start, shape)) <= length and not (length - distance) % 2
-    ]
-    if length < 2 or not shapes:
-        # each shape kept is start itself (length 0) or next to it (length 1)
-        path = [start][:length]
-        for shape in shapes:
-            yield path, shape, sum(map(sum, path))
+    distance = cover_distance(start, shape)
+    if distance > length or (length - distance) % 2:
         return
-    produced = [0] * len(shapes)
-    # partition -> its distance to the nearest shape, and (index, shape) of each
-    # shape one step from it; every shape kept has the parity of |start| +
-    # length, so a prefix one step short that the pruning kept is next to one
-    reach: dict[Partition, tuple[int, list[tuple[int, Partition]]]] = {}
-
-    def near(partition: Partition) -> tuple[int, list[tuple[int, Partition]]]:
-        found = reach.get(partition)
-        if found is None:
-            distances = [cover_distance(partition, shape) for shape in shapes]
-            found = reach[partition] = min(distances), [
-                (index, shape) for index, shape in enumerate(shapes) if distances[index] == 1
-            ]
-        return found
-
-    # the moves out of a partition: (next, its distance to the nearest shape and
-    # the shapes next to it, its size)
-    moves: dict[Partition, list[tuple[Partition, int, list, int]]] = {}
-    path, weights = [start], [sum(start)]
-    stack: list[Iterator[tuple[Partition, int, list, int]]] = []  # open moves out of path[i]
+    if length < 2:  # start is shape (length 0) or next to it (length 1)
+        path = [start][:length]
+        yield path, sum(map(sum, path)) + sum(shape)
+        return
+    produced = 0
+    moves: dict[Partition, list[tuple[Partition, int, int]]] = {}  # (next, distance, size)
+    path, weights = [start], [sum(start) + sum(shape)]
+    stack: list[Iterator[tuple[Partition, int, int]]] = []  # open moves out of path[i]
     while True:
         current = path[-1]
         table = moves.get(current)
         if table is None:
             table = moves[current] = [
-                (nxt, *near(nxt), sum(nxt)) for nxt in covers_up(current) + covers_down(current)
+                (nxt, cover_distance(nxt, shape), sum(nxt))
+                for nxt in covers_up(current) + covers_down(current)
             ]
         if len(path) < length - 1:
             stack.append(iter(table))
-        else:  # a move next to a shape makes a prefix one step short
-            for last, _, last_ends, last_size in table:
-                if last_ends:
+        else:  # each move next to shape makes a prefix one step short
+            for last, last_distance, last_size in table:
+                if last_distance == 1:
+                    produced += 1
+                    if produced > cap:
+                        raise cap_exceeded(cap)
                     path.append(last)
-                    for index, shape in last_ends:
-                        produced[index] += 1
-                        if produced[index] > cap:
-                            raise cap_exceeded(cap)
-                        yield path, shape, weights[-1] + last_size
+                    yield path, weights[-1] + last_size
                     path.pop()
             path.pop()
             weights.pop()
-        # advance to the next prefix: the deepest open move that still reaches a shape
+        # advance to the next prefix: the deepest open move that still reaches shape
         while stack:
             left = length - len(path)  # steps left after a move out of path[-1]
-            for nxt, distance, _, nxt_size in stack[-1]:
+            for nxt, distance, nxt_size in stack[-1]:
                 if distance <= left:
                     break
             else:
@@ -172,7 +151,7 @@ def _walks(
 
 def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
     """Yield each walk from start to shape as a tuple, in _walks's order, under its cap."""
-    return ((*path, shape) for path, _, _ in _walks(start, (shape,), length))
+    return ((*path, shape) for path, _ in _walks(start, shape, length))
 
 
 def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]:
@@ -202,21 +181,13 @@ def average_size_formula(k: int, n: int) -> "Fraction":
     return average_weight_formula(k, n) / (2 * n + k + 1)
 
 
-def walk_totals(
-    start: Partition, shapes: Sequence[Partition], length: int
-) -> dict[Partition, tuple[int, int]]:
-    """{shape: (count, total weight)} of the walks enumerate_ot yields, for each of shapes.
-
-    One _walks pass serves them all, crediting each walk to its shape; a
-    shape no walk reaches maps to (0, 0).  The cap applies per shape.
-    """
-    sums = {shape: [0, 0] for shape in shapes}  # shape -> [count, total of _walks's weights]
-    for _, shape, path_weight in _walks(start, shapes, length):
-        shape_sums = sums[shape]
-        shape_sums[0] += 1
-        shape_sums[1] += path_weight
-    # each walk ends on its shape, which _walks's weights leave out
-    return {shape: (count, total + count * sum(shape)) for shape, (count, total) in sums.items()}
+def walk_totals(start: Partition, shape: Partition, length: int) -> tuple[int, int]:
+    """(count, total weight) of the walks enumerate_ot yields, from _walks's weights."""
+    count = total = 0
+    for _, walk_weight in _walks(start, shape, length):
+        count += 1
+        total += walk_weight
+    return count, total
 
 
 def average_weight_enumerated(
@@ -229,7 +200,7 @@ def average_weight_enumerated(
     """
     from fractions import Fraction
 
-    count, total = walk_totals(start, (shape,), length)[shape]
+    count, total = walk_totals(start, shape, length)
     if count == 0:
         raise EmptyEnumerationError(
             f"no walks of length {length} from {format_partition(start)} "

@@ -1,4 +1,4 @@
-"""Cross-checking batteries: every closed form against its brute-force twin.
+"""Cross-checking batteries: every closed form against an independent route.
 
 Each suite returns a list of CheckRow records, one per identity checked,
 with both sides rendered so a failure is self-describing.  The CLI
@@ -46,43 +46,36 @@ def _row(name: str, lhs, rhs) -> CheckRow:
     return CheckRow(name, lhs == rhs, str(lhs), str(rhs))
 
 
-# one tableaux.walk_totals pass per distinct length, with all of that length's
-# shapes, shared by suite_count and suite_weight; run_suite clears the cache,
-# so each run enumerates anew
-_walk_totals = cache(tableaux.walk_totals)
+def _walk_cells(kmax: int, nmax: int) -> list[tuple[Partition, int, int, int, Fraction]]:
+    """The count and weight suites' cells, (shape, |shape|, n, count, average), all capped first.
 
-
-def _walk_cells(kmax: int, nmax: int) -> list[tuple[Partition, int, int, int, int]]:
-    """The count and weight suites' cells, (shape, |shape|, n, count, total), all capped first.
-
-    A cell's length is |shape| + 2n, and the cells of one length share one
-    walk pass: 11 passes for the 48 cells of kmax = 4, nmax = 3.
+    A cell's length is |shape| + 2n.  Each cell is held to
+    tableaux.refuse_over_cap, the one walk bound, before the walk DP runs;
+    then one kernels.ot_weight_profiles call (walk_dp_scan from the empty
+    start) gives every cell's count and average weight.
     """
     cells = [(shape, size(shape), n) for shape in partitions_up_to(kmax) for n in range(nmax + 1)]
-    by_length: dict[int, list[Partition]] = {}
     for shape, k, n in cells:
         tableaux.refuse_over_cap(EMPTY, shape, k + 2 * n)
-        by_length.setdefault(k + 2 * n, []).append(shape)
-    totals = {
-        length: _walk_totals(EMPTY, tuple(shapes), length)
-        for length, shapes in sorted(by_length.items())
+    scan = {
+        (case.shape, case.length): (case.count, case.average)
+        for case in walk_dp_scan(0, kmax, kmax + 2 * nmax).records
     }
-    return [(shape, k, n, *totals[k + 2 * n][shape]) for shape, k, n in cells]
+    return [(shape, k, n, *scan[shape, k + 2 * n]) for shape, k, n in cells]
 
 
 def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
-    """Enumerated walk counts against C(2n+k, k) (2n-1)!! f(shape), tableaux.walk_count's.
+    """Walk DP counts against C(2n+k, k) (2n-1)!! f(shape), tableaux.walk_count's.
 
-    The counts come from tableaux.walk_totals, the brute-force walk
-    enumeration, one pass per length (_walk_cells) through the per-run
-    cache _walk_totals.
+    The counts come from the U + D transfer (_walk_cells), a route that
+    shares no code with the normal-ordering closed form.
     """
     rows = []
-    for shape, k, n, enumerated, _ in _walk_cells(kmax, nmax):
+    for shape, k, n, count, _ in _walk_cells(kmax, nmax):
         rows.append(
             _row(
                 f"count shape={format_partition(shape)} n={n}",
-                enumerated,
+                count,
                 tableaux.walk_count(EMPTY, shape, k + 2 * n),
             )
         )
@@ -90,20 +83,18 @@ def suite_count(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
 
 
 def suite_weight(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
-    """Enumerated average weights against the quadratic closed form.
+    """Walk DP average weights against the quadratic closed form.
 
-    The averages are total over count from tableaux.walk_totals, one
-    pass per length through the per-run cache _walk_totals that
-    suite_count reads too, so one run of both walks each length once.
+    The averages come from the same weight profiles as suite_count's
+    counts (_walk_cells).
     """
     rows = []
-    for shape, k, n, count, total in _walk_cells(kmax, nmax):
-        enumerated = Fraction(total, count)
+    for shape, k, n, _, average in _walk_cells(kmax, nmax):
         formula = tableaux.average_weight_formula(k, n)
         rows.append(
             _row(
                 f"avg-weight shape={format_partition(shape)} n={n}",
-                enumerated,
+                average,
                 formula,
             )
         )
@@ -117,7 +108,7 @@ def suite_weight(kmax: int = 4, nmax: int = 3) -> list[CheckRow]:
         rows.append(
             _row(
                 f"avg-size-enumerated shape={format_partition(shape)} n={n}",
-                enumerated / (2 * n + k + 1),
+                average / (2 * n + k + 1),
                 Fraction(n, 3) + Fraction(k, 2),
             )
         )
@@ -474,7 +465,6 @@ def run_suite(name: str, kmax: int | None = None, nmax: int | None = None) -> li
             )
     if nmax is not None and name in ("all", *MATCHING_SUITES):
         matchings.check_bound(nmax)  # before any suite has scanned the smaller n
-    _walk_totals.cache_clear()
     rows = []
     for suite_name in SUITES if name == "all" else (name,):
         accepted = SUITE_OVERRIDES[suite_name]

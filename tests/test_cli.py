@@ -145,11 +145,14 @@ def test_an_over_cap_walk_battery_refuses_before_any_walk(capsys, monkeypatch, s
     entered = []
     real = tableaux._walks
     monkeypatch.setattr(tableaux, "_walks", lambda *walk: entered.append(walk) or real(*walk))
+    dp_calls = []
+    real_dp = kernels.ot_weight_profiles
+    monkeypatch.setattr(kernels, "ot_weight_profiles", lambda *a: dp_calls.append(a) or real_dp(*a))
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # n = 3 has 15 walks, n <= 2 fit
     error = f"error: {tableaux.cap_exceeded(14)}\n"
     argv = ("verify", "--suite", suite, "--kmax", "0", "--nmax", "3")
     assert run_cli(capsys, *argv) == (2, "", error)
-    assert entered == []
+    assert entered == dp_calls == []
 
 
 @pytest.mark.parametrize("argv, cap, status", [

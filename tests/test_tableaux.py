@@ -6,7 +6,7 @@ from math import comb, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from osctab import kernels, skew, tableaux, verify
 from osctab.diffposet import weight_generating_function
@@ -251,55 +251,22 @@ def test_walk_totals_equal_the_recursive_oracle():
         for shape in partitions_up_to(4):
             for length in range(9):
                 totals = recursive_totals(start, shape, length)
-                assert walk_totals(start, (shape,), length) == {shape: totals}
+                assert walk_totals(start, shape, length) == totals
                 cases += bool(totals[0])
     assert cases == 309
-
-
-# from (): at length 4 the odd shapes have no walk and (3, 1) is 4 boxes away;
-# at length 0 only the start itself has one
-@example((), [(), (1,), (2,), (1, 1), (2, 1), (3, 1)], 4)
-@example((1,), [(), (1,), (2,), (1, 1)], 0)
-@given(
-    st.sampled_from(list(partitions_up_to(3))),
-    st.sets(st.sampled_from(list(partitions_up_to(4)))),
-    st.integers(0, 9),
-)
-@settings(deadline=None, max_examples=150)
-def test_one_pass_totals_equal_the_recursive_oracle_for_each_shape(start, shapes, length):
-    """A pass over several shapes, those that parity or reach rules out included."""
-    shapes = sorted(shapes)
-    assert walk_totals(start, shapes, length) == {
-        shape: recursive_totals(start, shape, length) for shape in shapes
-    }
 
 
 def test_walk_totals_cap_edges(monkeypatch):
     # the single walk of length 0 fits the smallest cap, and weighs its one partition
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "1")
-    assert walk_totals((2, 1), ((2, 1),), 0) == {(2, 1): (1, 3)}
+    assert walk_totals((2, 1), (2, 1), 0) == (1, 3)
     for start, shape, length in (((), (), 6), ((1,), (2, 1), 4), ((2,), (1,), 3)):
         totals = recursive_totals(start, shape, length)
         monkeypatch.setenv("OSCTAB_MAX_ENUM", str(totals[0]))
-        assert walk_totals(start, (shape,), length) == {shape: totals}
+        assert walk_totals(start, shape, length) == totals
         monkeypatch.setenv("OSCTAB_MAX_ENUM", str(totals[0] - 1))
         with pytest.raises(BoundExceededError):
-            walk_totals(start, (shape,), length)
-
-
-def test_the_cap_holds_per_shape_in_a_pass(monkeypatch):
-    # from (), length 4: 3 walks to (), 6 to (2) and 6 to (1, 1), 15 in all
-    shapes = [(), (2,), (1, 1)]
-    counts = {shape: recursive_totals((), shape, 4)[0] for shape in shapes}
-    assert counts == {(): 3, (2,): 6, (1, 1): 6}
-    monkeypatch.setenv("OSCTAB_MAX_ENUM", "6")
-    assert {shape: count for shape, (count, _) in walk_totals((), shapes, 4).items()} == counts
-    monkeypatch.setenv("OSCTAB_MAX_ENUM", "5")  # (2) and (1, 1) each go over it
-    with pytest.raises(BoundExceededError):
-        walk_totals((), shapes, 4)
-    with pytest.raises(BoundExceededError):
-        walk_totals((), [(), (2,)], 4)
-    assert walk_totals((), [()], 4) == {(): recursive_totals((), (), 4)}
+            walk_totals(start, shape, length)
 
 
 def dp_counts(max_start_size, max_shape_size, max_length):
@@ -519,7 +486,7 @@ def scan_cases(max_start_size, max_shape_size, max_length):
 @settings(deadline=None, max_examples=150)
 def test_scan_cases_equal_walk_enumeration(start, shape, length):
     """Each cell's closed-form count and average against walk_totals; an absent cell has no walk."""
-    count, total = walk_totals(start, (shape,), length)[shape]
+    count, total = walk_totals(start, shape, length)
     case = scan_cases(4, 5, 10).get((start, shape, length))
     if case is None:
         assert count == 0

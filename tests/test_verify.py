@@ -1,60 +1,14 @@
 """Each battery builds each of its inputs once, and refuses an out-of-range n before any."""
 
+from fractions import Fraction
+from functools import cache
+from itertools import product
+
 import pytest
 
 from osctab import diffposet, kernels, matchings, skew, table, tableaux, verify
 from osctab.errors import BoundExceededError
-from osctab.partitions import partitions_up_to, size
-
-
-def spy_on_walks(monkeypatch) -> list:
-    """Record the (shapes, length) of every call of tableaux._walks, the walk DFS core."""
-    calls = []
-    original = tableaux._walks
-
-    def spy(start, shapes, length):
-        calls.append((tuple(shapes), length))
-        return original(start, shapes, length)
-
-    monkeypatch.setattr(tableaux, "_walks", spy)
-    return calls
-
-
-def passes(kmax, nmax):
-    """One (shapes, length) per distinct length |shape| + 2n, lengths ascending."""
-    by_length = {}
-    for shape in partitions_up_to(kmax):
-        for n in range(nmax + 1):
-            by_length.setdefault(size(shape) + 2 * n, []).append(shape)
-    return [(tuple(shapes), length) for length, shapes in sorted(by_length.items())]
-
-
-def test_count_and_weight_enumerate_each_cell_once(monkeypatch):
-    verify._walk_totals.cache_clear()
-    calls = spy_on_walks(monkeypatch)
-    assert all(row.passed for row in verify.suite_count() + verify.suite_weight())
-    # the 48 cells (shape, n) of |shape| <= 4, n <= 3 share 11 lengths, one pass each
-    assert len(calls) == 11
-    assert calls == passes(4, 3)
-    assert sum(len(shapes) for shapes, _ in calls) == 48
-
-
-def test_a_suite_run_alone_enumerates_its_own_cells(monkeypatch):
-    verify._walk_totals.cache_clear()
-    calls = spy_on_walks(monkeypatch)
-    assert all(row.passed for row in verify.suite_count(kmax=5, nmax=1))
-    assert calls == passes(5, 1)
-    assert len(calls) == 8  # lengths 0 to 7
-    # each run_suite call enumerates anew, with its own overrides
-    calls.clear()
-    for _ in range(2):
-        assert all(row.passed for row in verify.run_suite("weight", kmax=1, nmax=1))
-    assert calls == passes(1, 1) * 2
-
-
-def test_each_battery_alone_returns_its_rows_of_the_full_run():
-    alone = {name: verify.run_suite(name) for name in reversed(verify.SUITES)}
-    assert verify.run_suite("all") == [row for name in verify.SUITES for row in alone[name]]
+from osctab.partitions import covers_down, covers_up, partitions_up_to, size
 
 
 def spy_on(monkeypatch, module, name) -> list:
@@ -68,6 +22,90 @@ def spy_on(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+@pytest.mark.parametrize("suite", ["count", "weight"])
+@pytest.mark.parametrize(
+    "overrides, kmax, nmax",
+    [({}, 4, 3), ({"kmax": 5, "nmax": 1}, 5, 1), ({"kmax": 1}, 1, 3), ({"nmax": 0}, 4, 0)],
+)
+def test_a_walk_battery_reads_one_walk_dp_call(monkeypatch, suite, overrides, kmax, nmax):
+    dp_calls = spy_on(monkeypatch, kernels, "ot_weight_profiles")
+    walks = spy_on(monkeypatch, tableaux, "_walks")
+    for _ in range(2):
+        assert all(row.passed for row in verify.run_suite(suite, **overrides))
+    # every cell (shape, n) of |shape| <= kmax, n <= nmax, from the empty start, in one call
+    # per run, with no walk enumerated
+    assert dp_calls == [([()], list(partitions_up_to(kmax)), kmax + 2 * nmax)] * 2
+    assert walks == []
+
+
+@cache
+def enumerated_totals(length: int) -> dict:
+    """{end: (count, total weight)} of the walks of `length` from () to an end of size <= 5.
+
+    A recursive enumeration that visits every walk; it shares no code with the walk DP.
+    """
+    totals = {}
+
+    def visit(current, remaining, weight):
+        if size(current) - remaining > 5:  # no way back to size 5 in the steps left
+            return
+        if not remaining:
+            count, total = totals.get(current, (0, 0))
+            totals[current] = (count + 1, total + weight)
+            return
+        for nxt in covers_up(current) + covers_down(current):
+            visit(nxt, remaining - 1, weight + size(nxt))
+
+    visit((), length, 0)
+    return totals
+
+
+def test_the_walk_cells_equal_walk_enumeration():
+    for kmax, nmax in [*product(range(6), range(3)), (4, 3)]:
+        cells = verify._walk_cells(kmax, nmax)
+        assert [cell[:3] for cell in cells] == [
+            (shape, size(shape), n) for shape in partitions_up_to(kmax) for n in range(nmax + 1)
+        ]
+        for shape, k, n, count, average in cells:
+            enumerated, total = enumerated_totals(k + 2 * n)[shape]
+            assert (count, average) == (enumerated, Fraction(total, enumerated)), (shape, n)
+
+
+def failing(rows) -> list[str]:
+    return [row.name for row in rows if not row.passed]
+
+
+def test_the_count_suite_fails_where_the_walk_dp_loses_a_down_move(monkeypatch):
+    real = kernels.covers_down
+    monkeypatch.setattr(kernels, "covers_down", lambda p: real(p)[:-1] if len(p) >= 2 else real(p))
+    rows = verify.suite_count()
+    # n = 0 walks only add boxes, and the one walk () (1) () visits no partition of two rows
+    kept = ("count shape=- n=1",)
+    assert failing(rows) == [
+        row.name for row in rows if not row.name.endswith(" n=0") and row.name not in kept
+    ]
+
+
+def test_the_weight_suite_fails_where_the_formula_is_off_at_k_2(monkeypatch):
+    real = tableaux.average_weight_formula
+    monkeypatch.setattr(
+        tableaux, "average_weight_formula", lambda k, n: real(k, n) + Fraction(k == 2, 6)
+    )
+    # average_size_formula reads the average weight formula, so its rows fail too; the
+    # avg-size-enumerated rows read the walk DP's average and still pass
+    assert failing(verify.suite_weight()) == [
+        f"{name} shape={shape} n={n}"
+        for shape in ("2", "1,1")
+        for n in range(4)
+        for name in ("avg-weight", "avg-size")
+    ]
+
+
+def test_each_battery_alone_returns_its_rows_of_the_full_run():
+    alone = {name: verify.run_suite(name) for name in reversed(verify.SUITES)}
+    assert verify.run_suite("all") == [row for name in verify.SUITES for row in alone[name]]
 
 
 def test_the_skew_suite_scans_once(monkeypatch):
