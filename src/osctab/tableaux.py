@@ -1,17 +1,17 @@
 """Walks in the partition lattice and their weight statistic.
 
 A walk of length l is a tuple of l+1 partitions in which consecutive
-entries differ by one box in either direction.  Walks to one end shape
-are enumerated exactly (enumerate_ot, walk_totals) for the commands that
-list or check them; `verify`'s count and weight batteries read the walk
-DP in kernels instead.  Walks with a nonempty start are the skew
-variant.  walk_count counts any walk set, the cap refusals'
-included, from the normal-ordered (U + D)^l and skew tableau counts; the
-skew scan in skew reads counts and average weights the same way, and
-`gf` lives in diffposet.  The walk DP in kernels and the enumeration are
-oracles.  Fraction is imported by the functions that build one, so the
-commands that only count, walk or format (`count`, `enumerate`, `rs`, a
-matching `homomesy`) never load fractions.
+entries differ by one box in either direction.  Walks with a nonempty
+start are the skew variant.  walk_count counts any walk set, the cap
+refusals' included, from the normal-ordered (U + D)^l and skew tableau
+counts; the skew scan in skew reads counts and average weights the same
+way, and `gf` lives in diffposet.  enumerate_ot lists the walks to one
+end shape for the commands that print or search them; `count` and
+`avg-weight` check the closed forms against the walk DP in kernels,
+through weight_profile.  The walk DP and the enumeration are oracles.
+Fraction is imported by the functions that build one, so the commands
+that only count, walk or format (`count`, `enumerate`, `rs`, a matching
+`homomesy`) never load fractions.
 """
 
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -80,78 +80,61 @@ def refuse_over_cap(start: Partition, shape: Partition, length: int) -> int:
     return count
 
 
-def _walks(
-    start: Partition, shape: Partition, length: int
-) -> Iterator[tuple[list[Partition], int]]:
-    """Yield (path, weight) for each walk from start to shape, depth-first.
+def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
+    """Yield each walk from start to shape as a tuple, depth-first.
 
-    The one walk DFS; enumerate_ot and walk_totals read it.  `path` is a
-    live list of the walk's first `length` entries and `weight`, the sum
-    of the sizes of all its entries, includes sum(shape); the length-0
-    walk yields ([], sum(start)).  Growths come before removals, largest
-    part and top row first.  Parity and reach are checked once (a
-    mismatch yields nothing), then a move is taken when its distance to
-    shape fits the steps left.  Each distinct partition's moves are
-    listed once, with their distance to shape and size; a prefix two
-    steps short reads each last move next to shape straight from that
-    table, so the forced step onto shape is never searched.  The
-    OSCTAB_MAX_ENUM cap lives here: more than util.max_enumeration_size()
-    walks raise BoundExceededError.
+    The one walk DFS.  Growths come before removals, largest part and top
+    row first.  Parity and reach are checked once (a mismatch yields
+    nothing), then a move is taken when its distance to shape fits the
+    steps left.  Each distinct partition's moves are listed once, with
+    their distance to shape; a prefix two steps short reads each last
+    move next to shape straight from that table, so the forced step onto
+    shape is never searched.  The OSCTAB_MAX_ENUM cap lives here: more
+    than util.max_enumeration_size() walks raise BoundExceededError.
     """
     cap = max_enumeration_size()
     distance = cover_distance(start, shape)
     if distance > length or (length - distance) % 2:
         return
     if length < 2:  # start is shape (length 0) or next to it (length 1)
-        path = [start][:length]
-        yield path, sum(map(sum, path)) + sum(shape)
+        yield (start, shape) if length else (shape,)
         return
     produced = 0
-    moves: dict[Partition, list[tuple[Partition, int, int]]] = {}  # (next, distance, size)
-    path, weights = [start], [sum(start) + sum(shape)]
-    stack: list[Iterator[tuple[Partition, int, int]]] = []  # open moves out of path[i]
+    moves: dict[Partition, list[tuple[Partition, int]]] = {}  # (next, distance to shape)
+    path = [start]  # the walk's first entries
+    stack: list[Iterator[tuple[Partition, int]]] = []  # open moves out of path[i]
     while True:
         current = path[-1]
         table = moves.get(current)
         if table is None:
             table = moves[current] = [
-                (nxt, cover_distance(nxt, shape), sum(nxt))
+                (nxt, cover_distance(nxt, shape))
                 for nxt in covers_up(current) + covers_down(current)
             ]
         if len(path) < length - 1:
             stack.append(iter(table))
         else:  # each move next to shape makes a prefix one step short
-            for last, last_distance, last_size in table:
+            for last, last_distance in table:
                 if last_distance == 1:
                     produced += 1
                     if produced > cap:
                         raise cap_exceeded(cap)
-                    path.append(last)
-                    yield path, weights[-1] + last_size
-                    path.pop()
+                    yield (*path, last, shape)
             path.pop()
-            weights.pop()
         # advance to the next prefix: the deepest open move that still reaches shape
         while stack:
             left = length - len(path)  # steps left after a move out of path[-1]
-            for nxt, distance, nxt_size in stack[-1]:
+            for nxt, distance in stack[-1]:
                 if distance <= left:
                     break
             else:
                 stack.pop()
                 path.pop()
-                weights.pop()
                 continue
             path.append(nxt)
-            weights.append(weights[-1] + nxt_size)
             break
         else:
             return
-
-
-def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
-    """Yield each walk from start to shape as a tuple, in _walks's order, under its cap."""
-    return ((*path, shape) for path, _ in _walks(start, shape, length))
 
 
 def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]:
@@ -159,10 +142,10 @@ def weight_profile(start: Partition, shape: Partition, length: int) -> list[int]
 
     Counts the walks enumerate_ot yields without producing any: the
     kernel advances a per-partition weight histogram one step at a time.
-    No command calls it (perfbench/tracing.py wraps this binding), so
-    kernels is imported here: the commands that load tableaux for its
-    closed forms and enumeration (count, enumerate, avg-weight,
-    skew-scan) then never load the walk DP.
+    `count` and `avg-weight` check their closed forms against it.
+    kernels is imported here, so the commands that load tableaux only
+    for its closed forms and enumeration (enumerate, skew-scan, rs, a
+    homomesy search) never load the walk DP.
     """
     from . import kernels
 
@@ -181,32 +164,23 @@ def average_size_formula(k: int, n: int) -> "Fraction":
     return average_weight_formula(k, n) / (2 * n + k + 1)
 
 
-def walk_totals(start: Partition, shape: Partition, length: int) -> tuple[int, int]:
-    """(count, total weight) of the walks enumerate_ot yields, from _walks's weights."""
-    count = total = 0
-    for _, walk_weight in _walks(start, shape, length):
-        count += 1
-        total += walk_weight
-    return count, total
-
-
 def average_weight_enumerated(
     start: Partition, shape: Partition, length: int
 ) -> "Fraction":
-    """Exact average weight over every enumerated walk (walk_totals).
+    """Exact average weight over every walk from start to shape, from one weight_profile.
 
     Raises EmptyEnumerationError when no walk exists (parity or size
     mismatch between the endpoints and the length).
     """
     from fractions import Fraction
 
-    count, total = walk_totals(start, shape, length)
-    if count == 0:
+    profile = weight_profile(start, shape, length)
+    if not profile:
         raise EmptyEnumerationError(
             f"no walks of length {length} from {format_partition(start)} "
             f"to {format_partition(shape)}"
         )
-    return Fraction(total, count)
+    return Fraction(sum(w * c for w, c in enumerate(profile)), sum(profile))
 
 
 def overlaps(

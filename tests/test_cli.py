@@ -128,26 +128,51 @@ def test_enumerate_cap_fails_before_any_output(capsys, monkeypatch, cap, code):
     ("avg-weight", "--mu", "1", "--shape", "1", "--length", "4"),
 ])
 def test_over_cap_walk_runs_refuse_before_the_walk_dfs(capsys, monkeypatch, argv):
-    entered = []
-    real = tableaux._walks
-    monkeypatch.setattr(tableaux, "_walks", lambda *walk: entered.append(walk) or real(*walk))
+    entered, dp_calls = spy_on_walks(monkeypatch)
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # both walk sets number 15
     error = f"error: {tableaux.cap_exceeded(14)}\n"
     assert run_cli(capsys, *argv) == (2, "", error)
-    assert entered == []
+    assert entered == dp_calls == []
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "15")
     assert run_cli(capsys, *argv)[0] == 0
-    assert len(entered) == 1  # `enumerate` prints the closed count, so it walks only to list
+    # `enumerate` prints the closed count, so it walks only to list; `avg-weight` reads the DP
+    listing = argv[0] == "enumerate"
+    assert (len(entered), len(dp_calls)) == ((1, 0) if listing else (0, 1))
+
+
+def spy_on_walks(monkeypatch):
+    """Record the arguments of each walk DFS (enumerate_ot) and each walk DP call."""
+    entered, dp_calls = [], []
+    real_dfs, real_dp = tableaux.enumerate_ot, kernels.ot_weight_profiles
+    monkeypatch.setattr(tableaux, "enumerate_ot", lambda *a: entered.append(a) or real_dfs(*a))
+    monkeypatch.setattr(kernels, "ot_weight_profiles", lambda *a: dp_calls.append(a) or real_dp(*a))
+    return entered, dp_calls
+
+
+@pytest.mark.parametrize("argv, cap, dp_calls", [
+    (("count", "--shape", "2,1", "--n", "2"), None, 1),
+    (("count", "--shape", "-", "--n", "8"), None, 1),  # 2,027,025 walks, under the default cap
+    (("count", "--shape", "-", "--n", "3"), "15", 1),
+    (("count", "--shape", "-", "--n", "3"), "14", 0),  # over the cap: the note, no check
+    (("count", "--shape", "2,1", "--n", "2", "--skip-enumeration"), None, 0),
+    (("avg-weight", "--shape", "2,1", "--n", "2"), None, 1),
+    (("avg-weight", "--mu", "2,1", "--shape", "2", "--length", "5"), None, 1),
+])
+def test_count_and_avg_weight_read_one_walk_dp_call(capsys, monkeypatch, argv, cap, dp_calls):
+    """Each checks its closed form against one walk DP call and lists no walk."""
+    entered, calls = spy_on_walks(monkeypatch)
+    if cap is not None:
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", cap)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (len(calls), entered) == (dp_calls, [])
+    details = json.loads(out)["details"]
+    assert ("note" in details) is (argv[0] == "count" and not dp_calls)
 
 
 @pytest.mark.parametrize("suite", ["count", "weight"])
 def test_an_over_cap_walk_battery_refuses_before_any_walk(capsys, monkeypatch, suite):
-    entered = []
-    real = tableaux._walks
-    monkeypatch.setattr(tableaux, "_walks", lambda *walk: entered.append(walk) or real(*walk))
-    dp_calls = []
-    real_dp = kernels.ot_weight_profiles
-    monkeypatch.setattr(kernels, "ot_weight_profiles", lambda *a: dp_calls.append(a) or real_dp(*a))
+    entered, dp_calls = spy_on_walks(monkeypatch)
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # n = 3 has 15 walks, n <= 2 fit
     error = f"error: {tableaux.cap_exceeded(14)}\n"
     argv = ("verify", "--suite", suite, "--kmax", "0", "--nmax", "3")
@@ -167,14 +192,17 @@ def test_an_over_cap_walk_battery_refuses_before_any_walk(capsys, monkeypatch, s
     (("homomesy", "--target-set", "tableaux", "--shape", "2,1", "--n", "7"), None, 2),  # over 10^7
 ])
 def test_no_product_command_runs_the_walk_dp(capsys, monkeypatch, argv, cap, status):
-    """The walk DP is an oracle: product walk counts and `gf` come from normal ordering."""
-    calls = []
-    real = kernels.ot_weight_profiles
-    monkeypatch.setattr(kernels, "ot_weight_profiles", lambda *a: calls.append(a) or real(*a))
+    """The walk DP is an oracle: product walk counts and `gf` come from normal ordering.
+
+    `count` and `avg-weight` check their closed forms against it, one call a
+    run; an over-cap `avg-weight` exits 2 before that call.
+    """
+    _, calls = spy_on_walks(monkeypatch)
     if cap is not None:
         monkeypatch.setenv("OSCTAB_MAX_ENUM", cap)
     assert run_cli(capsys, *argv)[0] == status
-    assert calls == []
+    checks = argv[0] in ("count", "avg-weight") and status == 0
+    assert len(calls) == checks
 
 
 def test_gf_past_the_table_bound_equals_the_golden(capsys):
@@ -188,6 +216,20 @@ def test_long_length_bytes_equal_the_golden(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS["long_length_sha256"][command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDENS["count_avg_weight_sha256"]))
+def test_count_and_avg_weight_bytes_equal_the_golden(capsys, monkeypatch, command):
+    """Exit status and the sha256 of stdout then stderr; a leading NAME=value sets a variable."""
+    monkeypatch.delenv("OSCTAB_MAX_ENUM", raising=False)
+    words = command.split()
+    if "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("="))
+    code, out, err = run_cli(capsys, *words)
+    golden = GOLDENS["count_avg_weight_sha256"][command]
+    assert (code, hashlib.sha256((out + err).encode()).hexdigest()) == (
+        golden["status"], golden["sha256"]
+    )
 
 
 def test_avg_weight_formula_agreement(capsys):
@@ -946,11 +988,11 @@ def module_names(names):
         (("skew-scan", "--max-mu", "1", "--max-shape", "2", "--max-length", "3"),
          ("skew", "tableaux"),
          ("verify", "diffposet", "homomesy", "matchings", "table", "laurent", "kernels")),
-        (("count", "--shape", "2,1", "--n", "1"), ("tableaux",),
-         ("kernels", "skew", "table", *RATIONALS)),
+        (("count", "--shape", "2,1", "--n", "1"), ("tableaux", "kernels"),
+         ("skew", "table", *RATIONALS)),
         (("enumerate", "--shape", "1", "--length", "3"), ("tableaux",),
          ("kernels", "skew", "table", *RATIONALS)),
-        (("avg-weight", "--shape", "1", "--n", "1"), ("tableaux",), ("kernels", "skew", "table")),
+        (("avg-weight", "--shape", "1", "--n", "1"), ("tableaux", "kernels"), ("skew", "table")),
         (("gf", "--shape", "2,1", "--length", "5"),
          ("diffposet",), ("tableaux", "skew", "kernels", "matchings", "table", "homomesy", "verify")),
         (("stats", "--n", "2"), ("matchings", "table"),

@@ -33,7 +33,6 @@ from osctab.tableaux import (
     parse_tableau,
     refuse_over_cap,
     walk_count,
-    walk_totals,
     weight,
     weight_profile,
 )
@@ -226,47 +225,40 @@ def test_enumeration_order_equals_the_recursive_oracle():
     assert cases == 309
 
 
+def count_and_weight(walks):
+    """(count, total weight) of a walk set."""
+    walks = list(walks)
+    return len(walks), sum(map(weight, walks))
+
+
 def test_enumeration_cap_edges(monkeypatch):
-    # the single walk of length 0 fits the smallest cap
+    # the single walk of length 0 fits the smallest cap, and weighs its one partition
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "1")
     assert list(enumerate_ot((1,), (1,), 0)) == [((1,),)]
+    assert count_and_weight(enumerate_ot((2, 1), (2, 1), 0)) == (1, 3)
     for start, shape, length in (((), (), 6), ((1,), (2, 1), 4), ((2,), (1,), 3)):
-        count = len(list(recursive_enumerate_ot(start, shape, length)))
-        assert count > 1
-        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(count))
-        assert len(list(enumerate_ot(start, shape, length))) == count
-        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(count - 1))
+        totals = count_and_weight(recursive_enumerate_ot(start, shape, length))
+        assert totals[0] > 1
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(totals[0]))
+        assert count_and_weight(enumerate_ot(start, shape, length)) == totals
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(totals[0] - 1))
         with pytest.raises(BoundExceededError):
             list(enumerate_ot(start, shape, length))
 
 
-def recursive_totals(start, shape, length):
-    walks = list(recursive_enumerate_ot(start, shape, length))
-    return len(walks), sum(map(weight, walks))
-
-
-def test_walk_totals_equal_the_recursive_oracle():
+def test_walk_counts_and_weights_equal_the_recursive_oracle():
+    """The walks enumerate_ot yields and the weight_profile histogram, each as
+    (count, total weight), against the recursive enumerator."""
     cases = 0
     for start in partitions_up_to(3):
         for shape in partitions_up_to(4):
             for length in range(9):
-                totals = recursive_totals(start, shape, length)
-                assert walk_totals(start, shape, length) == totals
+                totals = count_and_weight(recursive_enumerate_ot(start, shape, length))
+                assert count_and_weight(enumerate_ot(start, shape, length)) == totals
+                profile = weight_profile(start, shape, length)
+                assert (sum(profile), sum(w * c for w, c in enumerate(profile))) == totals
                 cases += bool(totals[0])
     assert cases == 309
-
-
-def test_walk_totals_cap_edges(monkeypatch):
-    # the single walk of length 0 fits the smallest cap, and weighs its one partition
-    monkeypatch.setenv("OSCTAB_MAX_ENUM", "1")
-    assert walk_totals((2, 1), (2, 1), 0) == (1, 3)
-    for start, shape, length in (((), (), 6), ((1,), (2, 1), 4), ((2,), (1,), 3)):
-        totals = recursive_totals(start, shape, length)
-        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(totals[0]))
-        assert walk_totals(start, shape, length) == totals
-        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(totals[0] - 1))
-        with pytest.raises(BoundExceededError):
-            walk_totals(start, shape, length)
 
 
 def dp_counts(max_start_size, max_shape_size, max_length):
@@ -485,8 +477,9 @@ def scan_cases(max_start_size, max_shape_size, max_length):
 )
 @settings(deadline=None, max_examples=150)
 def test_scan_cases_equal_walk_enumeration(start, shape, length):
-    """Each cell's closed-form count and average against walk_totals; an absent cell has no walk."""
-    count, total = walk_totals(start, shape, length)
+    """Each cell's closed-form count and average against the walks enumerate_ot yields;
+    an absent cell has no walk."""
+    count, total = count_and_weight(enumerate_ot(start, shape, length))
     case = scan_cases(4, 5, 10).get((start, shape, length))
     if case is None:
         assert count == 0

@@ -31,7 +31,7 @@ def spy_on(monkeypatch, module, name) -> list:
 )
 def test_a_walk_battery_reads_one_walk_dp_call(monkeypatch, suite, overrides, kmax, nmax):
     dp_calls = spy_on(monkeypatch, kernels, "ot_weight_profiles")
-    walks = spy_on(monkeypatch, tableaux, "_walks")
+    walks = spy_on(monkeypatch, tableaux, "enumerate_ot")
     for _ in range(2):
         assert all(row.passed for row in verify.run_suite(suite, **overrides))
     # every cell (shape, n) of |shape| <= kmax, n <= nmax, from the empty start, in one call
