@@ -232,18 +232,37 @@ def count_and_weight(walks):
 
 
 def test_enumeration_cap_edges(monkeypatch):
-    # the single walk of length 0 fits the smallest cap, and weighs its one partition
+    # the single walk of length 0 fits the smallest cap
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "1")
     assert list(enumerate_ot((1,), (1,), 0)) == [((1,),)]
+    for start, shape, length in (((), (), 6), ((1,), (2, 1), 4), ((2,), (1,), 3)):
+        count = len(list(recursive_enumerate_ot(start, shape, length)))
+        assert count > 1
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(count))
+        assert len(list(enumerate_ot(start, shape, length))) == count
+        monkeypatch.setenv("OSCTAB_MAX_ENUM", str(count - 1))
+        with pytest.raises(BoundExceededError):
+            list(enumerate_ot(start, shape, length))
+
+
+def test_walk_totals_cap_edges(monkeypatch):
+    """(count, total weight) of the walks enumerate_ot yields, and the
+    refuse_over_cap guard that count and avg-weight pass before the walk DP,
+    at cap = count and cap = count - 1."""
+    # the single walk of length 0 fits the smallest cap, and weighs its one partition
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "1")
     assert count_and_weight(enumerate_ot((2, 1), (2, 1), 0)) == (1, 3)
+    assert refuse_over_cap((2, 1), (2, 1), 0) == 1
     for start, shape, length in (((), (), 6), ((1,), (2, 1), 4), ((2,), (1,), 3)):
         totals = count_and_weight(recursive_enumerate_ot(start, shape, length))
-        assert totals[0] > 1
         monkeypatch.setenv("OSCTAB_MAX_ENUM", str(totals[0]))
         assert count_and_weight(enumerate_ot(start, shape, length)) == totals
+        assert refuse_over_cap(start, shape, length) == totals[0]
         monkeypatch.setenv("OSCTAB_MAX_ENUM", str(totals[0] - 1))
         with pytest.raises(BoundExceededError):
             list(enumerate_ot(start, shape, length))
+        with pytest.raises(BoundExceededError):
+            refuse_over_cap(start, shape, length)
 
 
 def test_walk_counts_and_weights_equal_the_recursive_oracle():
