@@ -9,12 +9,12 @@ expansion yields Laurent-polynomial coefficients whose value and
 derivative at y = 1 give the walk counts and total walk weights that the
 closed forms are checked against, one length l at a time (q_levels).  `gf`
 keeps only column 0's last level (weight_generating_function); walk counts
-are tableaux.walk_count's.
+are tableaux.walk_count's.  Fraction is imported only by verify_key_identity,
+so `gf`, `diffposet q-table` and `diffposet b-table` never load fractions.
 """
 
-from fractions import Fraction
 from functools import cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .laurent import LaurentPolynomial
 from .partitions import (
@@ -27,6 +27,9 @@ from .partitions import (
     size,
 )
 from .util import normal_order_coefficient
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FormalSum = dict[Partition, int]
 
@@ -153,8 +156,8 @@ class KeyIdentityReport(NamedTuple):
 
     k: int
     n: int
-    ratio: Fraction
-    closed_form: Fraction
+    ratio: "Fraction"
+    closed_form: "Fraction"
 
     @property
     def passed(self) -> bool:
@@ -167,6 +170,8 @@ def verify_key_identity(k: int, n: int, levels: Sequence[QLevel]) -> KeyIdentity
     `levels` are q_levels' levels, reaching l = k + 2n; c and b are the
     derivative and the value at y = 1 of q[k, 0](k+2n), which is nonzero.
     """
+    from fractions import Fraction
+
     q = levels[k + 2 * n][k, 0]
     ratio = Fraction(q.derivative_at_one(), q.eval_at_one())
     closed = Fraction((2 * n + k + 1) * (2 * n + 3 * k), 6)

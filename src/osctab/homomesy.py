@@ -14,22 +14,25 @@ only after homomesy_verify accepts it.  The search works on item
 positions; item texts are formatted only to build the items, and a
 conjugation-closed search takes each walk's mate from the enumerated
 walks and each matching's from its insertion cells
-(matchings.conjugate_mates).
+(matchings.conjugate_mates), in the one enumeration that builds the
+items.
 """
 
 import time
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import CoverageError, NotDivisibleByThreeError, ShapeMismatchError
 from .matchings import (
+    PerfectMatching,
     conjugate_mates,
     conjugate_tableau,
     enumerate_matchings,
     format_matching,
     stats,
 )
-from .partitions import Partition, conjugate, format_partition, size
+from .partitions import OscillatingTableau, Partition, conjugate, format_partition, size
 from .tableaux import (
     average_weight_formula,
     enumerate_ot,
@@ -153,24 +156,54 @@ def divisibility_check(shape: Partition, n: int) -> bool:
     return walk_count((), shape, size(shape) + 2 * n) % 3 == 0
 
 
-def tableau_items(shape: Partition, n: int) -> list[WeightedItem]:
-    """The walks to `shape` of length |shape|+2n, keyed by text form, valued by weight.
+def _walks(shape: Partition, n: int) -> Iterator[OscillatingTableau]:
+    """The walks to `shape` of length |shape|+2n, as enumerate_ot lists them.
 
     A set of more than util.max_enumeration_size() walks is refused by
     tableaux.refuse_over_cap before any walk is enumerated.
     """
     length = size(shape) + 2 * n
     refuse_over_cap((), tuple(shape), length)
-    return [
-        (format_tableau(t), weight(t)) for t in enumerate_ot((), tuple(shape), length)
-    ]
+    return enumerate_ot((), tuple(shape), length)
+
+
+def _walk_item(walk: OscillatingTableau) -> WeightedItem:
+    return format_tableau(walk), weight(walk)
+
+
+def _matching_item(matching: PerfectMatching) -> WeightedItem:
+    return format_matching(matching), stats(matching).alignments
+
+
+def tableau_items(shape: Partition, n: int) -> list[WeightedItem]:
+    """The walks to `shape` of length |shape|+2n, keyed by text form, valued by weight."""
+    return list(map(_walk_item, _walks(shape, n)))
 
 
 def matching_items(n: int) -> list[WeightedItem]:
     """All matchings of [2n], keyed by text form, valued by alignment count."""
-    return [
-        (format_matching(m), stats(m).alignments) for m in enumerate_matchings(n)
-    ]
+    return list(map(_matching_item, enumerate_matchings(n)))
+
+
+def _items_and_mates(
+    objects: Iterable, item_of: Callable, mates_of: Optional[Callable]
+) -> tuple[list[WeightedItem], Optional[list[int]]]:
+    """The objects' items and, given mates_of, their mates, from one pass over the objects.
+
+    mates_of reads the objects as the items are built, so none is held
+    twice and none is enumerated twice.
+    """
+    if mates_of is None:
+        return list(map(item_of, objects)), None
+    items = []
+
+    def listed() -> Iterator:
+        for obj in objects:
+            items.append(item_of(obj))
+            yield obj
+
+    mate = mates_of(listed())
+    return items, mate
 
 
 def conjugate_positions(objects: Iterable, conjugate_of: Callable) -> list[int]:
@@ -207,12 +240,11 @@ def search_tableaux(
             "a conjugation-closed search needs a self-conjugate shape; "
             f"{format_partition(shape)} has conjugate {format_partition(dual)}"
         )
-    items = tableau_items(shape, n)
-    _check_triples(items, "walks")
-    mate = None
+    mates_of = None
     if conjugation_closed:
-        walks = enumerate_ot((), tuple(shape), size(shape) + 2 * n)
-        mate = conjugate_positions(walks, conjugate_tableau)
+        mates_of = partial(conjugate_positions, conjugate_of=conjugate_tableau)
+    items, mate = _items_and_mates(_walks(shape, n), _walk_item, mates_of)
+    _check_triples(items, "walks")
     target = orbit_sum_target_tableaux(size(shape), n)
     return triple_partition_search(items, target, node_budget, time_budget, mate)
 
@@ -224,10 +256,8 @@ def search_matchings(
     conjugation_closed: bool = False,
 ) -> SearchResult:
     """Triple-partition search over the matchings of [2n] with the alignment statistic."""
-    items = matching_items(n)
+    mates_of = conjugate_mates if conjugation_closed else None
+    items, mate = _items_and_mates(enumerate_matchings(n), _matching_item, mates_of)
     _check_triples(items, "matchings")
-    mate = None
-    if conjugation_closed:
-        mate = conjugate_mates(enumerate_matchings(n))
     target = orbit_sum_target_matchings(n)
     return triple_partition_search(items, target, node_budget, time_budget, mate)

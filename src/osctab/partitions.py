@@ -3,7 +3,8 @@
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty partition is the empty tuple.  Tuples keep equality, hashing and
 ordering canonical, so partitions can serve directly as dictionary keys
-in the linear-operator code.
+in the linear-operator code.  skew_syt_counts and overlaps give the skew
+tableau counts that every closed-form walk count and skew average reads.
 """
 
 from math import factorial
@@ -181,6 +182,20 @@ def skew_syt_counts(outer: Partition) -> dict[Partition, int]:
         counts.update(below)
         level = below
     return counts
+
+
+def overlaps(
+    start_counts: dict[Partition, int], shape_counts: dict[Partition, int]
+) -> list[tuple[int, int]]:
+    """Nonzero (j, g_j) from skew_syt_counts(mu) and (lambda); g_j = <lambda| U^(j+d) D^j |mu>.
+
+    d = |lambda| - |mu|; g_j sums f^(mu/nu) f^(lambda/nu) over the nu of size |mu| - j in both.
+    """
+    mu = size(next(iter(start_counts)))  # the first key is mu itself
+    g = [0] * (mu + 1)
+    for nu, f_start in start_counts.items():
+        g[mu - size(nu)] += f_start * shape_counts.get(nu, 0)
+    return [(j, g_j) for j, g_j in enumerate(g) if g_j]
 
 
 def partitions_of_size(n: int) -> Iterator[Partition]:

@@ -2,15 +2,15 @@
 
 Each nonempty cell (start, shape, length) of the grid gets its walk
 count and reduced average weight in closed form, from the normal-ordered
-(U + D)^l and the skew tableau counts of tableaux.overlaps; no walk is
-visited.  Only `skew-scan` and `verify` load this module.
+(U + D)^l and the skew tableau counts of partitions.overlaps; no walk is
+visited.  Only `skew-scan` and `verify` load this module, and it imports
+only partitions and util, so `skew-scan` never compiles tableaux.
 """
 
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .partitions import Partition, partitions_up_to, size, skew_syt_counts
-from .tableaux import overlaps
+from .partitions import Partition, overlaps, partitions_up_to, size, skew_syt_counts
 from .util import normal_order_coefficient
 
 

@@ -3,14 +3,15 @@
 A walk of length l is a tuple of l+1 partitions in which consecutive
 entries differ by one box in either direction.  Walks with a nonempty
 start are the skew variant.  walk_count counts any walk set, the cap
-refusals' included, from the normal-ordered (U + D)^l and skew tableau
-counts; the skew scan in skew reads counts and average weights the same
-way, and `gf` lives in diffposet.  enumerate_ot lists the walks to one
-end shape for the commands that print or search them; `count` and
-`avg-weight` check the closed forms against the walk DP in kernels,
-through weight_profile.  The walk DP and the enumeration are oracles.
-Fraction is imported by the functions that build one, so the commands
-that only count, walk or format (`count`, `enumerate`, `rs`, a matching
+refusals' included, from the normal-ordered (U + D)^l and the skew
+tableau counts of partitions.overlaps; the skew scan in skew reads
+counts and average weights the same way without this module, and `gf`
+lives in diffposet.  enumerate_ot lists the walks to one end shape for
+the commands that print or search them; `count` and `avg-weight` check
+the closed forms against the walk DP in kernels, through
+weight_profile.  The walk DP and the enumeration are oracles.  Fraction
+is imported by the functions that build one, so the commands that only
+count, walk or format (`count`, `enumerate`, `rs`, a matching
 `homomesy`) never load fractions.
 """
 
@@ -26,6 +27,7 @@ from .partitions import (
     covers_up,
     format_partition,
     num_syt,
+    overlaps,
     parse_partition,
     size,
     skew_syt_counts,
@@ -181,20 +183,6 @@ def average_weight_enumerated(
             f"to {format_partition(shape)}"
         )
     return Fraction(sum(w * c for w, c in enumerate(profile)), sum(profile))
-
-
-def overlaps(
-    start_counts: dict[Partition, int], shape_counts: dict[Partition, int]
-) -> list[tuple[int, int]]:
-    """Nonzero (j, g_j) from skew_syt_counts(mu) and (lambda); g_j = <lambda| U^(j+d) D^j |mu>.
-
-    d = |lambda| - |mu|; g_j sums f^(mu/nu) f^(lambda/nu) over the nu of size |mu| - j in both.
-    """
-    mu = size(next(iter(start_counts)))  # the first key is mu itself
-    g = [0] * (mu + 1)
-    for nu, f_start in start_counts.items():
-        g[mu - size(nu)] += f_start * shape_counts.get(nu, 0)
-    return [(j, g_j) for j, g_j in enumerate(g) if g_j]
 
 
 def walk_count(start: Partition, shape: Partition, length: int) -> int:

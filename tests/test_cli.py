@@ -1,3 +1,5 @@
+import argparse
+import ast
 import hashlib
 import importlib.util
 import json
@@ -952,6 +954,99 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
     assert (out, err) == (GOLDENS["help_columns_80"][command], "")
 
 
+def subcommand_paths(parser, path=()):
+    """(path, parser) of the program and of every subcommand, aliases included."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommand_paths(sub, (*path, name))
+
+
+def test_every_help_text_equals_the_golden(capsys, monkeypatch):
+    """The sha256 of each --help, the program's and every subcommand's, as before the
+    handlers left cli.py; a new subcommand needs a golden."""
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = GOLDENS["help_sha256_columns_80"]
+    paths = [" ".join(path) for path, _ in subcommand_paths(build_parser())]
+    assert sorted(paths) == sorted(golden)
+    for command in paths:
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--help"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[command], command
+
+
+HANDLER_MODULES = ("cli_walks", "cli_diffposet", "cli_matchings", "cli_skew", "cli_verify")
+
+
+def test_every_subcommand_resolves_to_its_handler_without_running_it():
+    """Each leaf of the parser resolves, without running it, to a cmd_* function of
+    one handler module."""
+    leaves = {
+        " ".join(path): parser.get_default("handler")
+        for path, parser in subcommand_paths(build_parser())
+        if not parser._subparsers
+    }
+    assert len(leaves) == 15  # 14 handlers; `diffposet c-table` is b-table's alias
+    handlers = {command: resolve() for command, resolve in leaves.items()}
+    assert handlers["diffposet c-table"] is handlers["diffposet b-table"]
+    assert len(set(handlers.values())) == 14
+    for command, handler in handlers.items():
+        assert handler.__name__.startswith("cmd_"), command
+        assert handler.__module__.removeprefix("osctab.") in HANDLER_MODULES, command
+
+
+def test_cli_defines_no_handler_and_no_handler_module_imports_it():
+    """cli.py parses and dispatches; the handlers and the report envelope live apart,
+    and none imports cli, which `python -m osctab.cli` runs as __main__."""
+    cli = ast.parse((SRC / "osctab" / "cli.py").read_text())
+    defined = [node.name for node in cli.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert not [name for name in defined if name.startswith("cmd_")]
+    assert "RunReport" not in defined and "Streamed" not in defined
+    for module in (*HANDLER_MODULES, "report"):
+        tree = ast.parse((SRC / "osctab" / f"{module}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                if node.module in (None, "osctab"):
+                    imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not imported & {"cli", "osctab.cli"}, module
+
+
+@pytest.mark.parametrize(
+    "argv, handler_module",
+    [
+        (("skew-scan", "--max-mu", "1", "--max-shape", "1", "--max-length", "2"), "cli_skew"),
+        (("verify", "--suite", "skew"), "cli_verify"),
+    ],
+)
+def test_a_module_run_does_not_import_cli_again(argv, handler_module):
+    """`python -m osctab.cli` runs cli.py as __main__, as runpy does here; were
+    osctab.cli imported too, cli.py would compile and run a second time."""
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('osctab.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    status = exit.code\n"
+        "print(*sorted(sys.modules))\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    modules = set(done.stdout.splitlines()[-1].split())
+    assert {"osctab.report", f"osctab.{handler_module}"} <= modules
+    assert "osctab.cli" not in modules
+
+
 ENGINES = (
     "tableaux", "skew", "kernels", "laurent", "matchings", "table", "homomesy", "diffposet", "verify",
 )
@@ -986,30 +1081,37 @@ def module_names(names):
     [
         ((), (), ENGINES),
         (("skew-scan", "--max-mu", "1", "--max-shape", "2", "--max-length", "3"),
-         ("skew", "tableaux"),
-         ("verify", "diffposet", "homomesy", "matchings", "table", "laurent", "kernels")),
-        (("count", "--shape", "2,1", "--n", "1"), ("tableaux", "kernels"),
+         ("cli_skew", "skew"),
+         ("tableaux", "verify", "diffposet", "homomesy", "matchings", "table", "laurent",
+          "kernels")),
+        (("count", "--shape", "2,1", "--n", "1"), ("cli_walks", "tableaux", "kernels"),
          ("skew", "table", *RATIONALS)),
-        (("enumerate", "--shape", "1", "--length", "3"), ("tableaux",),
+        (("enumerate", "--shape", "1", "--length", "3"), ("cli_walks", "tableaux"),
          ("kernels", "skew", "table", *RATIONALS)),
-        (("avg-weight", "--shape", "1", "--n", "1"), ("tableaux", "kernels"), ("skew", "table")),
-        (("gf", "--shape", "2,1", "--length", "5"),
-         ("diffposet",), ("tableaux", "skew", "kernels", "matchings", "table", "homomesy", "verify")),
-        (("stats", "--n", "2"), ("matchings", "table"),
+        (("avg-weight", "--shape", "1", "--n", "1"), ("cli_walks", "tableaux", "kernels"),
+         ("skew", "table")),
+        (("gf", "--shape", "2,1", "--length", "5"), ("cli_diffposet", "diffposet"),
+         ("tableaux", "skew", "kernels", "matchings", "table", "homomesy", "verify",
+          *RATIONALS)),
+        (("stats", "--n", "2"), ("cli_matchings", "matchings", "table"),
          ("verify", "diffposet", "tableaux", "skew", "laurent", "kernels")),
-        (("homomesy", "--target-set", "matchings", "--n", "2"), ("homomesy",),
+        (("homomesy", "--target-set", "matchings", "--n", "2"), ("cli_matchings", "homomesy"),
          ("verify", "diffposet", "table", "skew", *RATIONALS)),
-        (("verify", "--suite", "skew"), ENGINES, ()),
-        (("rs", "forward", "--matching", "1-4,2-3"), ("matchings", "tableaux"),
+        (("verify", "--suite", "skew"), ("cli_verify", *ENGINES), ()),
+        (("rs", "forward", "--matching", "1-4,2-3"), ("cli_matchings", "matchings", "tableaux"),
          ("kernels", "table", "skew", *RATIONALS)),
-        (("rs", "inverse", "--tableau=-|1|2|1|-"), ("matchings", "tableaux"),
+        (("rs", "inverse", "--tableau=-|1|2|1|-"), ("cli_matchings", "matchings", "tableaux"),
          ("kernels", "table", "skew", *RATIONALS)),
+        (("diffposet", "b-table", "--lmax", "4"), ("cli_diffposet", "diffposet"),
+         ("tableaux", "skew", "kernels", "matchings", "table", "homomesy", "verify",
+          *RATIONALS)),
     ],
 )
 def test_a_command_imports_only_what_it_runs(argv, loaded, absent):
+    """A command loads its own handler module (first in `loaded`) and no other's."""
     modules = loaded_modules(argv)
-    assert module_names(("cli", *loaded)) <= modules
-    assert not module_names(absent) & modules
+    assert module_names(("cli", "report", *loaded)) <= modules
+    assert not module_names((*absent, *set(HANDLER_MODULES) - set(loaded))) & modules
     assert "dataclasses" not in modules
 
 
@@ -1036,4 +1138,4 @@ def test_the_benchmark_command_lines_parse():
     assert argvs
     parser = build_parser()
     for argv in argvs:
-        assert parser.parse_args(list(argv)).func
+        assert parser.parse_args(list(argv)).handler().__name__.startswith("cmd_")

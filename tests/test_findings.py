@@ -5,6 +5,7 @@ Each test names where the finding comes from and its range.  A finding
 that a command comes to print moves next to that module's tests.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -13,13 +14,19 @@ from osctab import kernels
 from osctab.diffposet import q_levels
 from osctab.laurent import LaurentPolynomial
 from osctab.matchings import enumerate_matchings, matching_to_tableau
-from osctab.partitions import partitions_up_to, size, skew_syt_counts
-from osctab.tableaux import overlaps
+from osctab.partitions import (
+    covers_down,
+    covers_up,
+    overlaps,
+    partitions_up_to,
+    size,
+    skew_syt_counts,
+)
 
 
 def test_the_skew_weight_law_equals_the_walk_dp():
     """ROADMAP direction 2: the walks from mu to lambda of length l weigh
-    y^((l+1)|mu|) sum_j g_j q[j+d, j](l)(y), with g from tableaux.overlaps and
+    y^((l+1)|mu|) sum_j g_j q[j+d, j](l)(y), with g from partitions.overlaps and
     d = |lambda| - |mu|; every cell with |mu| <= 3, |lambda| <= 4 and l <= 10,
     empty cells included.
     """
@@ -159,3 +166,96 @@ def test_the_walk_reads_the_largest_crossing_and_nesting():
             assert (rows, columns) == (clique_number(crossing), clique_number(nesting)), matching
             matchings += 1
     assert matchings == 11465
+
+
+def rsk_shape(word):
+    """The shape of Schensted row insertion of a word of distinct numbers."""
+    rows = []
+    for x in word:
+        for row in rows:
+            i = bisect_right(row, x)
+            if i == len(row):
+                row.append(x)
+                break
+            row[i], x = x, row[i]
+        else:
+            rows.append([x])
+    return tuple(map(len, rows))
+
+
+def test_the_walk_is_the_insertion_shape_of_the_open_arcs():
+    """ROADMAP direction 6 (Fomin's growth diagram on the staircase): at each time t,
+    the partition of the walk of matching_to_tableau is the row-insertion shape of
+    the arcs open at t, their closers read in opener order and negated; every
+    matching with n <= 5.
+    """
+    matchings = 0
+    for n in range(6):
+        for matching in enumerate_matchings(n):
+            walk = matching_to_tableau(matching)
+            for t, partition in enumerate(walk):
+                open_closers = [-b for a, b in sorted(matching) if a <= t < b]
+                assert rsk_shape(open_closers) == partition, (matching, t)
+            matchings += 1
+    assert matchings == 1070
+
+
+def bell_numbers(count):
+    """B(0), ..., B(count - 1), from the Bell triangle."""
+    bells, row = [1], [1]
+    while len(bells) < count:
+        nxt = [row[-1]]
+        for value in row:
+            nxt.append(nxt[-1] + value)
+        row = nxt
+        bells.append(row[0])
+    return bells
+
+
+def vacillating_by_size(n):
+    """{k: (count, total weight)} over the vacillating tableaux of length 2n from ()
+    to one shape of size k, each divided by f^shape.  Each step pair removes a box
+    or stays, then adds a box or stays; the weight is the sum of the sizes
+    visited.  Divided by f^shape the counts depend only on the size: a removal
+    from size i has multiplicity i, an addition and a stay multiplicity 1.
+    """
+    laws = {0: (1, 0)}
+    for step in range(2 * n):
+        nxt = {}
+        for k, (count, weight) in laws.items():
+            # (size, multiplicity): a stay, then a removal on even steps, an addition on odd
+            for target, m in ((k, 1), (k - 1, k) if step % 2 == 0 else (k + 1, 1)):
+                if m:  # nothing is removed from ()
+                    c, w = nxt.get(target, (0, 0))
+                    nxt[target] = (c + m * count, w + m * (weight + target * count))
+        laws = nxt
+    return laws
+
+
+def vacillating_walks(n, shape):
+    """Every vacillating tableau of length 2n from () to shape, listed."""
+    walks = [((),)]
+    for step in range(2 * n):
+        moves = covers_down if step % 2 == 0 else covers_up
+        walks = [(*w, nxt) for w in walks for nxt in (w[-1], *moves(w[-1]))]
+    return [w for w in walks if w[-1] == shape]
+
+
+def test_the_vacillating_counts_and_weight_to_the_empty_shape():
+    """ROADMAP direction 10 (Chen, Deng, Du, Stanley and Yan 2007): the
+    vacillating tableaux of length 2n from () number B(n) to () and
+    B(n + 1) - B(n) to (1), and those to () weigh
+    (n + 1)B(n) + (2n + 7)B(n + 1) - 4B(n + 2) in all; from the size-only DP for
+    n <= 30, which equals the listed tableaux to () and (1) for n <= 5.
+    """
+    bell = bell_numbers(33)
+    for n in range(31):
+        laws = vacillating_by_size(n)
+        (to_empty, weight), (to_box, _) = laws[0], laws.get(1, (0, 0))
+        assert (to_empty, to_box) == (bell[n], bell[n + 1] - bell[n]), n
+        assert weight == (n + 1) * bell[n] + (2 * n + 7) * bell[n + 1] - 4 * bell[n + 2], n
+        if n <= 5:
+            for k, shape in ((0, ()), (1, (1,))):
+                walks = vacillating_walks(n, shape)
+                listed = (len(walks), sum(sum(map(size, w)) for w in walks))
+                assert laws.get(k, (0, 0)) == listed, (n, k)

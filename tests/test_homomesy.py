@@ -325,6 +325,26 @@ def test_conjugation_closed_walks_need_a_self_conjugate_shape(monkeypatch, shape
     assert f"{','.join(map(str, shape))} has conjugate {conjugate}" in message
 
 
+@pytest.mark.parametrize("conjugation_closed", [False, True])
+@pytest.mark.parametrize("target_set", ["matchings", "tableaux"])
+def test_a_search_enumerates_its_set_once(monkeypatch, target_set, conjugation_closed):
+    """The items and, in a conjugation-closed search, the mates read one enumeration."""
+    if target_set == "matchings":
+        search, sizes, name, items = search_matchings, (4,), "enumerate_matchings", matching_items(4)
+    else:
+        search, sizes, name = search_tableaux, ((2, 1), 2), "enumerate_ot"
+        items = tableau_items((2, 1), 2)
+    calls = []
+    real = getattr(homomesy, name)
+    monkeypatch.setattr(homomesy, name, lambda *args: calls.append(args) or real(*args))
+    result = search(*sizes, conjugation_closed=conjugation_closed)
+    assert len(calls) == 1
+    assert result.item_count == len(items)
+    # the closed searches at these sizes are infeasible
+    assert result.status == ("infeasible" if conjugation_closed else "certificate")
+    assert conjugation_closed or homomesy_verify(result.partition, items)
+
+
 @pytest.mark.parametrize("shape, n", [((), 2), ((1,), 1)])
 def test_conjugation_closed_walk_search_on_a_self_conjugate_shape(shape, n):
     result = search_tableaux(shape, n, conjugation_closed=True)
