@@ -12,7 +12,6 @@ from . import tableaux
 from .errors import OsctabError
 from .partitions import format_partition, parse_partition, size
 from .report import RunReport, Streamed, frac
-from .util import max_enumeration_size
 
 
 def cmd_count(args) -> RunReport:
@@ -20,7 +19,7 @@ def cmd_count(args) -> RunReport:
     formula = tableaux.walk_count((), shape, size(shape) + 2 * args.n)
     details: dict[str, Any] = {"formula": str(formula)}
     outcome = "pass"
-    if formula <= max_enumeration_size() and not args.skip_enumeration:
+    if formula <= tableaux.max_enumeration_size() and not args.skip_enumeration:
         enumerated = sum(tableaux.weight_profile((), shape, size(shape) + 2 * args.n))
         details["enumerated"] = str(enumerated)
         details["equal"] = enumerated == formula
@@ -38,10 +37,9 @@ def cmd_count(args) -> RunReport:
 def cmd_enumerate(args) -> RunReport:
     start = parse_partition(args.mu)
     shape = parse_partition(args.shape)
-    count = tableaux.refuse_over_cap(start, shape, args.length)  # "count" comes before "walks"
     # each distinct partition is rendered once, indented as a walk's step in the report
     step_json = cache(lambda step: json.dumps(list(step), indent=2).replace("\n", "\n        "))
-    walks = (
+    walks = (  # enumerate_ot is called as this is built: an over-cap set is refused here
         "      [\n        " + ",\n        ".join(map(step_json, t)) + "\n      ]"
         for t in tableaux.enumerate_ot(start, shape, args.length)
     )
@@ -53,7 +51,7 @@ def cmd_enumerate(args) -> RunReport:
             "length": args.length,
         },
         "pass",
-        {"count": str(count), "walks": Streamed(walks)},
+        {"count": str(tableaux.walk_count(start, shape, args.length)), "walks": Streamed(walks)},
     )
 
 

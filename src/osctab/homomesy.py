@@ -15,7 +15,8 @@ positions; item texts are formatted only to build the items, and a
 conjugation-closed search takes each walk's mate from the enumerated
 walks and each matching's from its insertion cells
 (matchings.conjugate_mates), in the one enumeration that builds the
-items.
+items.  A walk set over the OSCTAB_MAX_ENUM cap is refused by
+tableaux.enumerate_ot at its call, before any item is built.
 """
 
 import time
@@ -37,7 +38,6 @@ from .tableaux import (
     average_weight_formula,
     enumerate_ot,
     format_tableau,
-    refuse_over_cap,
     walk_count,
     weight,
 )
@@ -157,14 +157,8 @@ def divisibility_check(shape: Partition, n: int) -> bool:
 
 
 def _walks(shape: Partition, n: int) -> Iterator[OscillatingTableau]:
-    """The walks to `shape` of length |shape|+2n, as enumerate_ot lists them.
-
-    A set of more than util.max_enumeration_size() walks is refused by
-    tableaux.refuse_over_cap before any walk is enumerated.
-    """
-    length = size(shape) + 2 * n
-    refuse_over_cap((), tuple(shape), length)
-    return enumerate_ot((), tuple(shape), length)
+    """The walks to `shape` of length |shape|+2n; enumerate_ot refuses an over-cap set here."""
+    return enumerate_ot((), tuple(shape), size(shape) + 2 * n)
 
 
 def _walk_item(walk: OscillatingTableau) -> WeightedItem:

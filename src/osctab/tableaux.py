@@ -2,19 +2,22 @@
 
 A walk of length l is a tuple of l+1 partitions in which consecutive
 entries differ by one box in either direction.  Walks with a nonempty
-start are the skew variant.  walk_count counts any walk set, the cap
-refusals' included, from the normal-ordered (U + D)^l and the skew
-tableau counts of partitions.overlaps; the skew scan in skew reads
-counts and average weights the same way without this module, and `gf`
-lives in diffposet.  enumerate_ot lists the walks to one end shape for
-the commands that print or search them; `count` and `avg-weight` check
-the closed forms against the walk DP in kernels, through
-weight_profile.  The walk DP and the enumeration are oracles.  Fraction
-is imported by the functions that build one, so the commands that only
-count, walk or format (`count`, `enumerate`, `rs`, a matching
-`homomesy`) never load fractions.
+start are the skew variant.  walk_count counts any walk set from the
+normal-ordered (U + D)^l and the skew tableau counts of
+partitions.overlaps; the skew scan in skew reads counts and average
+weights the same way without this module, and `gf` lives in diffposet.
+The OSCTAB_MAX_ENUM walk cap lives here alone: refuse_over_cap holds a
+set's walk_count to it, and enumerate_ot, which lists the walks to one
+end shape for the commands that print or search them, calls it once,
+before its DFS starts.  `count` and `avg-weight` check the closed
+forms against the walk DP in kernels, through weight_profile.  The walk
+DP and the enumeration are oracles.  Fraction is imported by the
+functions that build one, so the commands that only count, walk or
+format (`count`, `enumerate`, `rs`, a matching `homomesy`) never load
+fractions.
 """
 
+import os
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import BoundExceededError, EmptyEnumerationError, ShapeMismatchError
@@ -32,7 +35,7 @@ from .partitions import (
     size,
     skew_syt_counts,
 )
-from .util import max_enumeration_size, normal_order_coefficient
+from .util import normal_order_coefficient
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -68,21 +71,39 @@ def parse_tableau(text: str) -> OscillatingTableau:
     return steps
 
 
-def cap_exceeded(cap: int) -> BoundExceededError:
-    """The error a walk enumeration raises past its cap of `cap` walks."""
-    return BoundExceededError(f"enumeration exceeds the configured cap of {cap} walks")
+DEFAULT_MAX_ENUM = 10**7  # the walk cap when OSCTAB_MAX_ENUM is unset
+
+
+def max_enumeration_size() -> int:
+    """The walk cap, from OSCTAB_MAX_ENUM."""
+    raw = os.environ.get("OSCTAB_MAX_ENUM")
+    if raw is None:
+        return DEFAULT_MAX_ENUM
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"OSCTAB_MAX_ENUM must be an integer, got {raw!r}") from exc
+    if value <= 0:
+        raise ValueError("OSCTAB_MAX_ENUM must be positive")
+    return value
 
 
 def refuse_over_cap(start: Partition, shape: Partition, length: int) -> int:
-    """walk_count, held to the cap before any walk is enumerated: past it, raise cap_exceeded."""
+    """walk_count, held to the cap before any walk is enumerated: past it, raise."""
     cap = max_enumeration_size()
     count = walk_count(start, shape, length)
     if count > cap:
-        raise cap_exceeded(cap)
+        raise BoundExceededError(f"enumeration exceeds the configured cap of {cap} walks")
     return count
 
 
 def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
+    """The walks from start to shape, from _walk_dfs; an over-cap set raises here, at the call."""
+    refuse_over_cap(start, shape, length)
+    return _walk_dfs(start, shape, length)
+
+
+def _walk_dfs(start: Partition, shape: Partition, length: int) -> Iterator[OscillatingTableau]:
     """Yield each walk from start to shape as a tuple, depth-first.
 
     The one walk DFS.  Growths come before removals, largest part and top
@@ -91,17 +112,14 @@ def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[Os
     steps left.  Each distinct partition's moves are listed once, with
     their distance to shape; a prefix two steps short reads each last
     move next to shape straight from that table, so the forced step onto
-    shape is never searched.  The OSCTAB_MAX_ENUM cap lives here: more
-    than util.max_enumeration_size() walks raise BoundExceededError.
+    shape is never searched.
     """
-    cap = max_enumeration_size()
     distance = cover_distance(start, shape)
     if distance > length or (length - distance) % 2:
         return
     if length < 2:  # start is shape (length 0) or next to it (length 1)
         yield (start, shape) if length else (shape,)
         return
-    produced = 0
     moves: dict[Partition, list[tuple[Partition, int]]] = {}  # (next, distance to shape)
     path = [start]  # the walk's first entries
     stack: list[Iterator[tuple[Partition, int]]] = []  # open moves out of path[i]
@@ -118,9 +136,6 @@ def enumerate_ot(start: Partition, shape: Partition, length: int) -> Iterator[Os
         else:  # each move next to shape makes a prefix one step short
             for last, last_distance in table:
                 if last_distance == 1:
-                    produced += 1
-                    if produced > cap:
-                        raise cap_exceeded(cap)
                     yield (*path, last, shape)
             path.pop()
         # advance to the next prefix: the deepest open move that still reaches shape

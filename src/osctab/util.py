@@ -1,9 +1,6 @@
-"""Small arithmetic helpers used by several modules, and the enumeration cap."""
+"""The normal-ordering coefficient that the walk counts, the skew scan and the tables share."""
 
-import os
 from math import factorial
-
-DEFAULT_MAX_ENUM = 10**7  # enumeration cap when OSCTAB_MAX_ENUM is unset
 
 
 def normal_order_coefficient(i: int, j: int, l: int) -> int:
@@ -18,18 +15,3 @@ def normal_order_coefficient(i: int, j: int, l: int) -> int:
     if i < 0 or j < 0 or m < 0 or odd:
         return 0
     return factorial(l) // (factorial(i) * factorial(j) * factorial(m) * 2**m)
-
-
-def max_enumeration_size() -> int:
-    """Global cap on enumeration output size, from OSCTAB_MAX_ENUM."""
-    raw = os.environ.get("OSCTAB_MAX_ENUM")
-    if raw is None:
-        return DEFAULT_MAX_ENUM
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"OSCTAB_MAX_ENUM must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError("OSCTAB_MAX_ENUM must be positive")
-    return value
-

@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import shlex
@@ -132,7 +133,7 @@ def test_enumerate_cap_fails_before_any_output(capsys, monkeypatch, cap, code):
 def test_over_cap_walk_runs_refuse_before_the_walk_dfs(capsys, monkeypatch, argv):
     entered, dp_calls = spy_on_walks(monkeypatch)
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # both walk sets number 15
-    error = f"error: {tableaux.cap_exceeded(14)}\n"
+    error = "error: enumeration exceeds the configured cap of 14 walks\n"
     assert run_cli(capsys, *argv) == (2, "", error)
     assert entered == dp_calls == []
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "15")
@@ -143,10 +144,11 @@ def test_over_cap_walk_runs_refuse_before_the_walk_dfs(capsys, monkeypatch, argv
 
 
 def spy_on_walks(monkeypatch):
-    """Record the arguments of each walk DFS (enumerate_ot) and each walk DP call."""
+    """Record the arguments of each walk DFS that starts (tableaux._walk_dfs, which
+    enumerate_ot calls once the set is held to the cap) and each walk DP call."""
     entered, dp_calls = [], []
-    real_dfs, real_dp = tableaux.enumerate_ot, kernels.ot_weight_profiles
-    monkeypatch.setattr(tableaux, "enumerate_ot", lambda *a: entered.append(a) or real_dfs(*a))
+    real_dfs, real_dp = tableaux._walk_dfs, kernels.ot_weight_profiles
+    monkeypatch.setattr(tableaux, "_walk_dfs", lambda *a: entered.append(a) or real_dfs(*a))
     monkeypatch.setattr(kernels, "ot_weight_profiles", lambda *a: dp_calls.append(a) or real_dp(*a))
     return entered, dp_calls
 
@@ -176,7 +178,7 @@ def test_count_and_avg_weight_read_one_walk_dp_call(capsys, monkeypatch, argv, c
 def test_an_over_cap_walk_battery_refuses_before_any_walk(capsys, monkeypatch, suite):
     entered, dp_calls = spy_on_walks(monkeypatch)
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # n = 3 has 15 walks, n <= 2 fit
-    error = f"error: {tableaux.cap_exceeded(14)}\n"
+    error = "error: enumeration exceeds the configured cap of 14 walks\n"
     argv = ("verify", "--suite", suite, "--kmax", "0", "--nmax", "3")
     assert run_cli(capsys, *argv) == (2, "", error)
     assert entered == dp_calls == []
@@ -749,6 +751,19 @@ def test_homomesy_budget_exhausted_exit(capsys):
     assert payload["details"]["search"]["nodes"] == "2"
 
 
+def test_homomesy_past_its_deadline_exits_3_at_0_nodes(capsys, monkeypatch):
+    """The clock budget's deadline: a clock that moves an hour a reading puts the
+    first node past it, so the search stops before any triple is tried."""
+    hours = itertools.count(0, 3600)
+    monkeypatch.setattr(kernels.time, "monotonic", lambda: next(hours))
+    code, out, _ = run_cli(capsys, "homomesy", "--target-set", "matchings", "--n", "4",
+                           "--budget-seconds", "60")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["outcome"] == payload["details"]["status"] == "budget-exhausted"
+    assert payload["details"]["search"]["nodes"] == "0"
+
+
 def test_skew_scan(capsys):
     code, out, _ = run_cli(
         capsys, "skew-scan", "--max-mu", "0", "--max-shape", "4", "--max-length", "8"
@@ -908,6 +923,14 @@ def test_input_errors_exit_2(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("avg-weight", "--shape", "1"), "error: provide --length or --n\n"),
+    (("count", "--shape", "2,x", "--n", "1"), "error: cannot parse partition from '2,x'\n"),
+])
+def test_a_missing_length_or_a_bad_shape_exits_2_with_its_message(capsys, argv, error):
+    assert run_cli(capsys, *argv) == (2, "", error)
 
 
 @pytest.mark.parametrize(
@@ -1120,6 +1143,15 @@ def readme_cli_examples():
     section = (SRC.parent / "README.md").read_text().split("\n## CLI\n", 1)[1]
     block = section.split("```\n", 2)[1]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_the_readme_layout_names_every_module():
+    """README's `## Layout` block lists each module of src/osctab but __init__, once."""
+    section = (SRC.parent / "README.md").read_text().split("\n## Layout\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    listed = [line.split()[0] for line in block.splitlines()[1:]]
+    modules = [path.name for path in (SRC / "osctab").glob("*.py") if path.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
 
 
 def test_the_readme_cli_examples_run(capsys):

@@ -8,7 +8,8 @@ that a command comes to print moves next to that module's tests.
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from math import comb
+from itertools import combinations, permutations
+from math import comb, factorial
 
 from osctab import kernels
 from osctab.diffposet import q_levels
@@ -259,3 +260,207 @@ def test_the_vacillating_counts_and_weight_to_the_empty_shape():
                 walks = vacillating_walks(n, shape)
                 listed = (len(walks), sum(sum(map(size, w)) for w in walks))
                 assert laws.get(k, (0, 0)) == listed, (n, k)
+
+
+def walk_laws(max_length, stat=size, keep=lambda partition: True):
+    """For each length l = 0..max_length, {end: (count, total)} over the walks from ()
+    of length l whose partitions all pass keep, where total adds stat over every
+    partition visited, endpoints included.  The test-local walk DP of the content and
+    row-bounded findings: a cover filter and a per-visit statistic.
+    """
+    laws = {(): (1, stat(()))}
+    yield laws
+    for _ in range(max_length):
+        nxt = {}
+        for current, (count, total) in laws.items():
+            for partition in filter(keep, covers_up(current) + covers_down(current)):
+                c, t = nxt.get(partition, (0, 0))
+                nxt[partition] = (c + count, t + total + count * stat(partition))
+        laws = nxt
+        yield laws
+
+
+@cache
+def content_power_sum(partition, r):
+    """p_r: the sum of (j - i)^r over the boxes (i, j) of the partition."""
+    return sum((j - i) ** r for i, part in enumerate(partition) for j in range(part))
+
+
+def test_the_content_statistics_have_closed_averages():
+    """ROADMAP direction 12 (Kerov and Olshanski, "Polynomial functions on the set
+    of Young diagrams", 1994): over the walks from () to a shape of size k with
+    length l = k + 2n, the sum of f over the partitions visited averages
+    p_1 (l + 1)/3 for f = p_1, (l + 1)(5k^2 + 20kn - 5k + 8n^2 - 8n + 30 p_2)/120
+    for f = p_2 and (l + 1)(-k^2 + 20kn + k + 8n^2 - 8n + 24 p_1^2 + 18 p_2)/120
+    for f = p_1^2, with p_r the content power sums of the end shape; every
+    (shape, l) cell with l <= 14.
+    """
+    def p1(partition):
+        return content_power_sum(partition, 1)
+
+    def p2(partition):
+        return content_power_sum(partition, 2)
+
+    def p1_squared(partition):
+        return p1(partition) ** 2
+
+    def closed_forms(shape, k, n):
+        l1, a, b = k + 2 * n + 1, p1(shape), p2(shape)
+        return {
+            p1: Fraction(a * l1, 3),
+            p2: Fraction(l1 * (5 * k * k + 20 * k * n - 5 * k + 8 * n * n - 8 * n + 30 * b), 120),
+            p1_squared: Fraction(
+                l1 * (-k * k + 20 * k * n + k + 8 * n * n - 8 * n + 24 * a * a + 18 * b), 120
+            ),
+        }
+
+    cells = 0
+    for stat in (p1, p2, p1_squared):
+        for length, laws in enumerate(walk_laws(14, stat)):
+            for shape, (count, total) in laws.items():
+                k = size(shape)
+                expected = closed_forms(shape, k, (length - k) // 2)[stat]
+                assert Fraction(total, count) == expected, (stat.__name__, shape, length)
+                cells += 1
+    assert cells == 3 * 1033
+
+
+def test_the_commutator_of_down_and_the_content_weighted_up_is_diagonal():
+    """ROADMAP direction 12 (Kerov, "Transition probabilities of continual Young
+    diagrams and the Markov moment problem", 1993): with U_r adding a box of content
+    c with weight c^r and D removing a box, [D, U_r] multiplies each partition by
+    1, 0, 2|l|, 6 p_1, 2|l| + 12 p_2 and 10 p_1 + 20 p_3 for r = 0 to 5; every
+    partition l with |l| <= 7.
+    """
+
+    def up(vector, r):
+        out = {}
+        for partition, coeff in vector.items():
+            for bigger in covers_up(partition):
+                row = next(i for i, part in enumerate(bigger) if part != (partition + (0,))[i])
+                content = bigger[row] - 1 - row
+                out[bigger] = out.get(bigger, 0) + coeff * content**r
+        return out
+
+    def down(vector):
+        out = {}
+        for partition, coeff in vector.items():
+            for smaller in covers_down(partition):
+                out[smaller] = out.get(smaller, 0) + coeff
+        return out
+
+    checked = 0
+    for partition in partitions_up_to(7):
+        k = size(partition)
+        p = [content_power_sum(partition, r) for r in range(4)]
+        eigenvalues = [1, 0, 2 * k, 6 * p[1], 2 * k + 12 * p[2], 10 * p[1] + 20 * p[3]]
+        for r, eigenvalue in enumerate(eigenvalues):
+            commutator = down(up({partition: 1}, r))
+            for other, coeff in up(down({partition: 1}), r).items():
+                commutator[other] = commutator.get(other, 0) - coeff
+            commutator = {other: coeff for other, coeff in commutator.items() if coeff}
+            assert commutator == ({partition: eigenvalue} if eigenvalue else {}), (partition, r)
+            checked += 1
+    assert checked == 6 * 45
+
+
+def test_the_closed_walk_weight_is_read_from_crossings_and_nestings():
+    """ROADMAP direction 3: the closed walk of a matching weighs n + 2(cr + ne), so
+    the sum of y^(n + 2(cr + ne)) over joint_distribution_counts(n) is q[0, 0](2n)(y)
+    of q_levels; every n <= 12.
+    """
+    levels = list(q_levels(24, 0))
+    for n in range(13):
+        law = {}
+        for (cr, ne, _), count in kernels.joint_distribution_counts(n).items():
+            law[n + 2 * (cr + ne)] = law.get(n + 2 * (cr + ne), 0) + count
+        assert levels[2 * n][0, 0].coeffs == law, n
+
+
+def test_the_crossing_marginal_is_touchard_riordan():
+    """ROADMAP direction 3 (Touchard, 1952; Riordan, "The distribution of crossings
+    of chords joining pairs of 2n points on a circle", Math. Comp. 29, 1975): the
+    sum of q^cr over the matchings of [2n] is (1 - q)^(-n) times
+    sum_k (-1)^k (C(2n, n - k) - C(2n, n - k - 1)) q^(k(k + 1)/2); every n <= 12,
+    compared after multiplying both sides by (1 - q)^n.
+    """
+    for n in range(13):
+        marginal = [0] * (comb(n, 2) + 1)
+        for (cr, _, _), count in kernels.joint_distribution_counts(n).items():
+            marginal[cr] += count
+        product = marginal
+        for _ in range(n):  # times (1 - q)
+            product = [a - b for a, b in zip(product + [0], [0] + product)]
+        series = [0] * len(product)
+        for k in range(n + 1):
+            term = (-1) ** k * (comb(2 * n, n - k) - (comb(2 * n, n - k - 1) if k < n else 0))
+            series[k * (k + 1) // 2] += term
+        assert product == series, n
+
+
+def catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+def closed_walks_in_rows(rows, n_max):
+    """(count, total weight) of the walks from () to () of length 2n whose
+    partitions have at most `rows` rows, for n = 0..n_max."""
+    laws = walk_laws(2 * n_max, keep=lambda partition: len(partition) <= rows)
+    return [law.get((), (0, 0)) for length, law in enumerate(laws) if length % 2 == 0]
+
+
+def test_walks_in_one_row_count_and_weigh_in_closed_form():
+    """ROADMAP direction 15: the walks from () to () of length 2n in at most one row
+    number the Catalan number C_n and weigh 4^n - C(2n + 1, n) in all; every n <= 25.
+    """
+    for n, (count, total) in enumerate(closed_walks_in_rows(1, 25)):
+        assert (count, total) == (catalan(n), 4**n - comb(2 * n + 1, n)), n
+
+
+def test_walks_in_two_rows_count_as_a_catalan_determinant():
+    """ROADMAP direction 15: the walks from () to () of length 2n in at most two rows
+    number C_n C_(n+2) - C_(n+1)^2; every n <= 20.
+    """
+    for n, (count, _) in enumerate(closed_walks_in_rows(2, 20)):
+        assert count == catalan(n) * catalan(n + 2) - catalan(n + 1) ** 2, n
+
+
+def test_walks_in_r_rows_count_as_a_bessel_determinant():
+    """ROADMAP direction 15 (Grabiner and Magyar, "Random walks in Weyl chambers and
+    the decomposition of tensor powers", J. Algebraic Combin. 2, 1993): the closed
+    walks of length 2n in at most r rows have exponential generating function
+    sum_n count x^(2n)/(2n)! = det[I_(i-j)(2x) - I_(i+j)(2x)], 1 <= i, j <= r, with
+    I_m(2x) = sum_k x^(2k+m)/(k! (k+m)!); every r <= 3 and n <= 12.
+    """
+    degree = 24
+
+    def bessel(m):  # I_m(2x) to x^degree, as coefficients
+        m = abs(m)
+        series = [Fraction(0)] * (degree + 1)
+        for k in range((degree - m) // 2 + 1):
+            series[2 * k + m] = Fraction(1, factorial(k) * factorial(k + m))
+        return series
+
+    def times(a, b):
+        out = [Fraction(0)] * (degree + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j in range(degree + 1 - i):
+                    out[i + j] += x * b[j]
+        return out
+
+    for r in range(1, 4):
+        matrix = [
+            [[a - b for a, b in zip(bessel(i - j), bessel(i + j))] for j in range(1, r + 1)]
+            for i in range(1, r + 1)
+        ]
+        determinant = [Fraction(0)] * (degree + 1)
+        for columns in permutations(range(r)):
+            sign = (-1) ** sum(a > b for a, b in combinations(columns, 2))
+            term = [Fraction(1)] + [Fraction(0)] * degree
+            for row, column in enumerate(columns):
+                term = times(term, matrix[row][column])
+            determinant = [d + sign * t for d, t in zip(determinant, term)]
+        counts = [count for count, _ in closed_walks_in_rows(r, degree // 2)]
+        assert determinant[1::2] == [0] * (degree // 2), r
+        assert [c * factorial(2 * n) for n, c in enumerate(determinant[::2])] == counts, r

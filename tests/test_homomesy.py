@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osctab import homomesy, kernels
+from osctab import homomesy, kernels, tableaux
 from osctab.errors import BoundExceededError, CoverageError, NotDivisibleByThreeError, OsctabError
 from osctab.homomesy import (
     TriplePartition,
@@ -307,7 +307,7 @@ def test_walk_search_refuses_an_over_cap_set_before_enumerating(monkeypatch):
         raise AssertionError("walks were enumerated")
 
     monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")
-    monkeypatch.setattr(homomesy, "enumerate_ot", no_walks)
+    monkeypatch.setattr(tableaux, "_walk_dfs", no_walks)  # the DFS that enumerate_ot starts
     with pytest.raises(BoundExceededError) as excinfo:
         search_tableaux((1,), 2)
     assert str(excinfo.value) == "enumeration exceeds the configured cap of 14 walks"

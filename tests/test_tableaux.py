@@ -195,6 +195,20 @@ def test_enumeration_cap(monkeypatch):
         list(enumerate_ot((), (), 8))
 
 
+def test_an_over_cap_enumeration_raises_at_the_call(monkeypatch):
+    """The cap is checked once, when enumerate_ot is called, and the DFS it
+    returns counts no walks: past the cap nothing is iterated, and the DFS
+    itself lists all 15 closed walks of length 6 under a cap of 1."""
+    monkeypatch.setattr(tableaux, "_walk_dfs", lambda *args: pytest.fail("the DFS started"))
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "14")  # the closed walks of length 6 number 15
+    with pytest.raises(BoundExceededError) as excinfo:
+        enumerate_ot((), (), 6)
+    assert str(excinfo.value) == "enumeration exceeds the configured cap of 14 walks"
+    monkeypatch.undo()
+    monkeypatch.setenv("OSCTAB_MAX_ENUM", "1")
+    assert len(list(tableaux._walk_dfs((), (), 6))) == 15
+
+
 def recursive_enumerate_ot(start, shape, length):
     """The recursive depth-first enumerator that enumerate_ot replaced, kept as its oracle."""
     path = [start]

@@ -1,6 +1,8 @@
+"""The OSCTAB_MAX_ENUM walk cap, which tableaux.max_enumeration_size reads."""
+
 import pytest
 
-from osctab.util import max_enumeration_size
+from osctab.tableaux import max_enumeration_size
 
 
 def test_max_enumeration_size_default(monkeypatch):
